@@ -21,10 +21,15 @@ bool compare(CompareOp op, const T& lhs, const T& rhs) {
 
 }  // namespace
 
-bool matches(const Predicate& predicate, const AttrMap& attrs) {
-  const auto it = attrs.find(predicate.attribute);
-  if (it == attrs.end()) return false;
-  const AttrValue& actual = it->second;
+std::optional<double> as_number(const AttrValue& value) {
+  if (const auto* i = std::get_if<std::int64_t>(&value)) {
+    return static_cast<double>(*i);
+  }
+  if (const auto* d = std::get_if<double>(&value)) return *d;
+  return std::nullopt;
+}
+
+bool matches_value(const Predicate& predicate, const AttrValue& actual) {
   // Allow int/double cross-comparison; otherwise require identical types.
   if (std::holds_alternative<std::string>(actual) &&
       std::holds_alternative<std::string>(predicate.value)) {
@@ -35,15 +40,8 @@ bool matches(const Predicate& predicate, const AttrMap& attrs) {
     }
     return compare(predicate.op, lhs, rhs);
   }
-  const auto numeric = [](const AttrValue& v) -> std::optional<double> {
-    if (const auto* i = std::get_if<std::int64_t>(&v)) {
-      return static_cast<double>(*i);
-    }
-    if (const auto* d = std::get_if<double>(&v)) return *d;
-    return std::nullopt;
-  };
-  if (const auto lhs = numeric(actual)) {
-    if (const auto rhs = numeric(predicate.value)) {
+  if (const auto lhs = as_number(actual)) {
+    if (const auto rhs = as_number(predicate.value)) {
       return compare(predicate.op, *lhs, *rhs);
     }
     return false;
@@ -54,6 +52,11 @@ bool matches(const Predicate& predicate, const AttrMap& attrs) {
                    std::get<bool>(predicate.value));
   }
   return false;
+}
+
+bool matches(const Predicate& predicate, const AttrMap& attrs) {
+  const auto it = attrs.find(predicate.attribute);
+  return it != attrs.end() && matches_value(predicate, it->second);
 }
 
 bool Query::matches_record(const DatasetRecord& record) const {

@@ -1,6 +1,8 @@
 //! Query language over the metadata store: a conjunction of typed predicates
-//! on basic metadata, plus project and tag filters. The store answers exact-
-//! match predicates from an inverted index and evaluates the rest by scan.
+//! on basic metadata, plus project and tag filters. The store seeds each
+//! query from its indices (tag buckets, equality buckets, ordered walks for
+//! range and numeric predicates) and scans only for `!=`, `~` or no
+//! predicate at all; see MetadataStore::query.
 #pragma once
 
 #include <optional>
@@ -18,6 +20,15 @@ struct Predicate {
   CompareOp op = CompareOp::kEq;
   AttrValue value;
 };
+
+// The numeric view of a value: int64 and double compare with each other as
+// doubles; bools and strings have none.
+[[nodiscard]] std::optional<double> as_number(const AttrValue& value);
+
+// Evaluates one predicate against one attribute value. Type mismatches
+// compare false, as does anything against NaN.
+[[nodiscard]] bool matches_value(const Predicate& predicate,
+                                 const AttrValue& actual);
 
 // Evaluates one predicate against an attribute map. Missing attributes and
 // type mismatches compare false (datasets simply don't match).

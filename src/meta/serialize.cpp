@@ -10,7 +10,11 @@
 //   branch  \t <dataset> \t <branch> \t <name> \t <closed> \t <created_ns>
 //   bparam  \t <dataset> \t <branch> \t <key> \t <type> \t <value>
 //   result  \t <dataset> \t <branch> \t <uri>
+#include <cctype>
+#include <cerrno>
 #include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/config.h"
@@ -70,11 +74,19 @@ Result<AttrValue> parse_value(const std::string& type_text,
       return AttrValue{v};
     }
     case AttrType::kDouble: {
-      try {
-        return AttrValue{std::stod(payload)};
-      } catch (const std::exception&) {
+      // strtod, unlike from_chars's default format, reads to_text's hex
+      // floats ("0x1.8p+0"); the whole payload must be consumed. Overflow
+      // is refused, subnormal underflow (exact in hex) is not.
+      char* end = nullptr;
+      errno = 0;
+      const double v = std::strtod(payload.c_str(), &end);
+      if (payload.empty() || std::isspace(static_cast<unsigned char>(
+                                 payload.front())) != 0 ||
+          end != payload.c_str() + payload.size() ||
+          (errno == ERANGE && std::isinf(v))) {
         return invalid_argument("bad double value `" + payload + "`");
       }
+      return AttrValue{v};
     }
     case AttrType::kBool:
       return AttrValue{payload == "1"};
@@ -199,7 +211,10 @@ Result<MetadataStore> MetadataStore::from_text(std::string_view text) {
       }
       LSDF_ASSIGN_OR_RETURN(AttrValue value,
                             parse_value(fields[3], fields[4]));
-      record->second.basic.emplace(fields[2], value);
+      LSDF_RETURN_IF_ERROR(check_indexable(fields[2], value));
+      if (!record->second.basic.emplace(fields[2], value).second) {
+        return syntax_error("duplicate attr " + fields[2]);
+      }
       store.attr_index_[fields[2]][value].insert(record->first);
     } else if (kind == "tag") {
       if (fields.size() != 3) return syntax_error("bad tag record");
@@ -208,8 +223,10 @@ Result<MetadataStore> MetadataStore::from_text(std::string_view text) {
       if (record == store.records_.end()) {
         return syntax_error("tag for unknown dataset");
       }
+      if (!store.tag_index_[fields[2]].insert(record->first).second) {
+        return syntax_error("duplicate tag " + fields[2]);
+      }
       record->second.tags.push_back(fields[2]);
-      store.tag_index_[fields[2]].insert(record->first);
     } else if (kind == "branch") {
       if (fields.size() != 6) return syntax_error("bad branch record");
       LSDF_ASSIGN_OR_RETURN(const std::int64_t id, parse_int(fields[1]));

@@ -6,7 +6,14 @@
 //!  * processing branches are independent: each carries write-once
 //!    parameters and an append-only result list;
 //!  * every mutation emits a MetaEvent to registered observers (the rule
-//!    engine and the workflow tag-trigger build on this).
+//!    engine and the workflow tag-trigger build on this);
+//!  * basic-metadata doubles are finite, so attr_index_ is strictly ordered.
+//!
+//! query() answers from the indices: tag and string/bool equality buckets
+//! have known sizes, range and numeric-equality predicates walk the ordered
+//! value index of their attribute, and the smallest candidate set seeds the
+//! result, which is filtered and limited in id order exactly as a full scan
+//! would be. Only `!=`, `~` and predicate-free queries scan every record.
 #pragma once
 
 #include <cstdint>
@@ -116,12 +123,16 @@ class MetadataStore {
   void touch() { ++version_; }
   [[nodiscard]] Status validate_against_schema(const Schema& schema,
                                                const AttrMap& attrs) const;
+  // Basic metadata must be orderable in attr_index_: doubles are finite.
+  [[nodiscard]] static Status check_indexable(const std::string& attr,
+                                              const AttrValue& value);
 
   std::map<std::string, Project> projects_;
   std::map<DatasetId, DatasetRecord> records_;
   // Inverted index: tag -> dataset ids (kept sorted via std::set).
   std::map<std::string, std::set<DatasetId>> tag_index_;
-  // Equality index over basic metadata: attribute -> value -> dataset ids.
+  // Ordered value index over basic metadata: attribute -> value -> dataset
+  // ids. Serves equality lookups and range walks.
   std::map<std::string, std::map<AttrValue, std::set<DatasetId>>> attr_index_;
   std::vector<Observer> observers_;
   DatasetId next_id_ = 1;

@@ -3,6 +3,9 @@
 // iRODS-style rule engine.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/rng.h"
 #include "meta/query.h"
 #include "meta/rules.h"
 #include "meta/store.h"
@@ -349,6 +352,134 @@ TEST_F(QueryFixture, IndexAndScanAgree) {
                                               std::int64_t{7}));
   EXPECT_EQ(indexed, scanned);
 }
+
+TEST_F(QueryFixture, NumericEqualityCrossesIntAndDouble) {
+  EXPECT_EQ(store.query(Query().where("sequence", CompareOp::kEq, 7.0)),
+            std::vector<DatasetId>{ids[7]});
+  EXPECT_EQ(store.query(Query().where("exposure_ms", CompareOp::kEq,
+                                      std::int64_t{30})),
+            std::vector<DatasetId>{ids[3]});
+}
+
+TEST_F(QueryFixture, ZeroLimitReturnsNothing) {
+  EXPECT_TRUE(store.query(Query().in_project("p").limit(0)).empty());
+  EXPECT_TRUE(store
+                  .query(Query()
+                             .where("sequence", CompareOp::kGe,
+                                    std::int64_t{0})
+                             .limit(0))
+                  .empty());
+}
+
+TEST(MetadataStore, RegistrationRejectsNonFiniteDoubles) {
+  MetadataStore store;
+  ASSERT_TRUE(store.create_project("p", {}).is_ok());
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double value : bad) {
+    MetadataStore::Registration reg = make_reg("p", "d");
+    reg.basic["exposure_ms"] = value;
+    const auto result = store.register_dataset(std::move(reg));
+    ASSERT_FALSE(result.is_ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(store.dataset_count(), 0u);
+  EXPECT_EQ(store.version(), 1u);  // only the project was created
+  MetadataStore::Registration reg = make_reg("p", "d");
+  reg.basic["exposure_ms"] = std::numeric_limits<double>::max();
+  EXPECT_TRUE(store.register_dataset(std::move(reg)).is_ok());
+}
+
+// --- Query planner oracle -----------------------------------------------------------
+//
+// query() plans over the indices; a brute-force matches_record sweep in id
+// order is the reference. Values mix int64 and double under one attribute
+// (beyond 2^53 too, and +-0.0), with bools and strings among them.
+
+std::vector<AttrValue> oracle_values() {
+  constexpr std::int64_t k53 = std::int64_t{1} << 53;
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t k62 = std::int64_t{1} << 62;
+  // k53 + 1 and -k53 - 1 round to +-2^53, k62 - 1 rounds up to 2^62.
+  return {std::int64_t{-3}, std::int64_t{0}, std::int64_t{1},
+          std::int64_t{2}, std::int64_t{7}, k53 - 1, k53, k53 + 1, k53 + 2,
+          -k53 - 1, k62 - 1, k62 + 3, kMax - 1, kMax, kMin,
+          -0.0, 0.0, 0.5, 1.0, 2.0, -2.5, 7.25, 0x1p53, -0x1p53,
+          0x1p53 + 2.0, 0x1p62, 0x1p63, -0x1p63, 1e300, -1e300, false, true,
+          std::string(""), std::string("a"), std::string("abc"),
+          std::string("b"), std::string("2")};
+}
+
+std::vector<DatasetId> sweep(const MetadataStore& store, const Query& query) {
+  std::vector<DatasetId> out;
+  for (const DatasetId id : store.dataset_ids()) {
+    if (query.result_limit() && out.size() >= *query.result_limit()) break;
+    if (query.matches_record(store.get(id).value())) out.push_back(id);
+  }
+  return out;
+}
+
+class QueryOracle : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(QueryOracle, PlannerMatchesBruteForceSweep) {
+  Rng rng(GetParam());
+  const std::vector<AttrValue> values = oracle_values();
+  const auto pick = [&] { return values[rng.index(values.size())]; };
+  const char* const attributes[] = {"x", "y"};
+  const char* const projects[] = {"p", "q"};
+  const char* const tags[] = {"t1", "t2"};
+
+  MetadataStore store;
+  ASSERT_TRUE(store.create_project("p", {}).is_ok());
+  ASSERT_TRUE(store.create_project("q", {}).is_ok());
+  for (int i = 0; i < 150; ++i) {
+    MetadataStore::Registration reg;
+    reg.project = projects[rng.index(2)];
+    reg.name = "d" + std::to_string(i);
+    reg.data_uri = "u";
+    for (const char* attribute : attributes) {
+      if (rng.next_double() < 0.85) reg.basic[attribute] = pick();
+    }
+    const DatasetId id = store.register_dataset(std::move(reg)).value();
+    for (const char* tag : tags) {
+      if (rng.next_double() < 0.3) {
+        ASSERT_TRUE(store.tag(id, tag).is_ok());
+      }
+    }
+    if (rng.next_double() < 0.1 && !store.get(id).value().tags.empty()) {
+      ASSERT_TRUE(store.untag(id, store.get(id).value().tags[0]).is_ok());
+    }
+  }
+  const auto restored = MetadataStore::from_text(store.to_text());
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+
+  const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
+                           CompareOp::kLe, CompareOp::kGt, CompareOp::kGe,
+                           CompareOp::kContains};
+  const AttrValue extremes[] = {std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (int round = 0; round < 300; ++round) {
+    Query query;
+    const std::size_t predicates = 1 + rng.index(3);
+    for (std::size_t i = 0; i < predicates; ++i) {
+      const AttrValue value =
+          rng.next_double() < 0.1 ? extremes[rng.index(3)] : pick();
+      query.where(attributes[rng.index(2)], ops[rng.index(7)], value);
+    }
+    if (rng.next_double() < 0.3) query.in_project(projects[rng.index(2)]);
+    if (rng.next_double() < 0.3) query.with_tag(tags[rng.index(2)]);
+    if (rng.next_double() < 0.3) query.limit(rng.index(6));
+    const std::string key = cache_key(query);
+    EXPECT_EQ(store.query(query), sweep(store, query)) << key;
+    EXPECT_EQ(restored.value().query(query), sweep(store, query)) << key;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QueryOracle,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 // --- Events & rules -------------------------------------------------------------------
 

@@ -2,6 +2,9 @@
 // its failure modes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 #include "meta/store.h"
 
 namespace lsdf::meta {
@@ -150,6 +153,93 @@ TEST(Persistence, MalformedInputsRejected) {
                    .is_ok());
   // Comments and blank lines are fine.
   EXPECT_TRUE(MetadataStore::from_text("# header\n\n").is_ok());
+}
+
+constexpr const char* kOneDataset =
+    "project\tp\n"
+    "dataset\t1\tp\td\tu\t100\t0\t0\n";
+
+Result<MetadataStore> load_with(const std::string& records) {
+  return MetadataStore::from_text(kOneDataset + records);
+}
+
+TEST(Persistence, NonFiniteBasicDoublesRejected) {
+  for (const char* payload : {"nan", "inf", "-inf", "1e999"}) {
+    const auto loaded =
+        load_with(std::string("attr\t1\tx\tdouble\t") + payload);
+    ASSERT_FALSE(loaded.is_ok()) << payload;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Branch parameters are not indexed; non-finite ones still round-trip.
+  MetadataStore store;
+  ASSERT_TRUE(store.create_project("p", {}).is_ok());
+  MetadataStore::Registration reg;
+  reg.project = "p";
+  reg.name = "d";
+  reg.data_uri = "u";
+  const DatasetId id = store.register_dataset(std::move(reg)).value();
+  AttrMap params;
+  params["threshold"] = std::numeric_limits<double>::infinity();
+  ASSERT_TRUE(store.open_branch(id, "b", params, SimTime(0)).is_ok());
+  const auto restored = MetadataStore::from_text(store.to_text());
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  EXPECT_EQ(restored.value().get(id).value().branches[0].parameters,
+            params);
+}
+
+TEST(Persistence, DoubleValuesParseStrictly) {
+  for (const char* payload : {"1.5xyz", "", " 1.5", "1.5 ", "0x1.8p+0q"}) {
+    EXPECT_FALSE(
+        load_with(std::string("attr\t1\tx\tdouble\t") + payload).is_ok())
+        << "`" << payload << "`";
+  }
+  const auto loaded = load_with("attr\t1\tx\tdouble\t0x1.8p+0");
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value().get(1).value().basic.at("x"), AttrValue{1.5});
+  // Hex floats written by to_text round-trip bit for bit, edge values too.
+  MetadataStore store;
+  ASSERT_TRUE(store.create_project("p", {}).is_ok());
+  const double edges[] = {-0.0, std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::max(),
+                          -std::numeric_limits<double>::min(), 0.1};
+  for (const double edge : edges) {
+    MetadataStore::Registration reg;
+    reg.project = "p";
+    reg.name = "d" + std::to_string(store.dataset_count());
+    reg.data_uri = "u";
+    reg.basic["x"] = edge;
+    ASSERT_TRUE(store.register_dataset(std::move(reg)).is_ok());
+  }
+  const auto restored = MetadataStore::from_text(store.to_text());
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  for (DatasetId id = 1; id <= store.dataset_count(); ++id) {
+    const double a = std::get<double>(store.get(id).value().basic.at("x"));
+    const double b =
+        std::get<double>(restored.value().get(id).value().basic.at("x"));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+  }
+}
+
+TEST(Persistence, DuplicateAttrAndTagRecordsRejected) {
+  const auto attr = load_with(
+      "attr\t1\tx\tint\t1\n"
+      "attr\t1\tx\tint\t2");
+  ASSERT_FALSE(attr.is_ok());
+  EXPECT_NE(attr.status().message().find("line 4"), std::string::npos)
+      << attr.status().to_string();
+  const auto tag = load_with(
+      "tag\t1\tgolden\n"
+      "tag\t1\tgolden");
+  ASSERT_FALSE(tag.is_ok());
+  EXPECT_NE(tag.status().message().find("line 4"), std::string::npos)
+      << tag.status().to_string();
+  // The same attribute or tag on two datasets is fine.
+  EXPECT_TRUE(load_with("dataset\t2\tp\te\tu\t100\t0\t0\n"
+                        "attr\t1\tx\tint\t1\n"
+                        "attr\t2\tx\tint\t1\n"
+                        "tag\t1\tgolden\n"
+                        "tag\t2\tgolden")
+                  .is_ok());
 }
 
 }  // namespace
