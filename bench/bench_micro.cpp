@@ -240,23 +240,6 @@ void BM_ObsGaugeSet(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsGaugeSet);
 
-void BM_ObsHistogramObserve(benchmark::State& state) {
-  obs::Histogram& histogram = obs::MetricsRegistry::global().histogram(
-      "bench_histogram", obs::Histogram::exponential_bounds(1e-6, 10.0, 12));
-  Rng rng(3);
-  // Pre-generated samples so the RNG is not in the measured loop.
-  std::vector<double> samples(1024);
-  for (auto& s : samples) {
-    s = static_cast<double>(rng.next_below(1000000)) * 1e-6;
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    histogram.observe(samples[i++ & 1023]);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsHistogramObserve);
-
 void BM_ObsRegistryLookup(benchmark::State& state) {
   // The cold path: what a non-handle-holding caller would pay per update.
   // Exists to justify the handle-based design, not to be fast.

@@ -1,5 +1,5 @@
-//! Streaming statistics, histograms and time series used by the experiment
-//! harnesses to report the paper's operational figures.
+//! Streaming statistics, sample percentiles and time series used by the
+//! experiment harnesses to report the paper's operational figures.
 #pragma once
 
 #include <algorithm>
@@ -75,43 +75,6 @@ class Samples {
  private:
   std::vector<double> values_;
   bool sorted_ = false;
-};
-
-// Fixed-width histogram over [lo, hi); out-of-range values clamp to the
-// edge buckets so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {
-    LSDF_REQUIRE(hi > lo, "histogram range must be non-empty");
-    LSDF_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-  }
-
-  void add(double x) {
-    const double t = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::int64_t>(
-        t * static_cast<double>(counts_.size()));
-    idx = std::clamp<std::int64_t>(
-        idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-  }
-
-  [[nodiscard]] std::int64_t bucket(std::size_t i) const {
-    return counts_.at(i);
-  }
-  [[nodiscard]] std::size_t buckets() const { return counts_.size(); }
-  [[nodiscard]] std::int64_t total() const { return total_; }
-  [[nodiscard]] double bucket_low(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                     static_cast<double>(counts_.size());
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
 };
 
 // Time series of (sim time, value) points, with utilities the benches use

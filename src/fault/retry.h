@@ -1,9 +1,9 @@
 //! RetryPolicy: the facility-wide retry/backoff contract (Rucio-style
-//! systematic recovery). Every service that retries — the WAN mirror, the
-//! ingest pipeline, the reliable transfer wrapper — shares this one policy
-//! type so operations have uniform at-most-`max_attempts`, always-terminated
-//! semantics: a caller either succeeds or receives a terminal error; work is
-//! never silently dropped.
+//! systematic recovery). Every service that retries — the federation's WAN
+//! copies, the ingest pipeline, the reliable transfer wrapper — shares this
+//! one policy type so operations have uniform at-most-`max_attempts`,
+//! always-terminated semantics: a caller either succeeds or receives a
+//! terminal error; work is never silently dropped.
 //!
 //! Backoff grows exponentially from `initial_backoff` by `multiplier`,
 //! capped at `max_backoff`, with *deterministic* jitter: the jitter factor

@@ -408,8 +408,8 @@ void FederationService::transfer_done(meta::DatasetId dataset, SiteId site,
     return;
   }
   if (!delivered) {
-    // Retries exhausted: give up like the mirror does — a later tag or
-    // resolution pass restarts the copy from scratch.
+    // Retries exhausted: drop the entry and re-resolve at once, so the
+    // rule either starts a fresh attempt chain or waits for a site.
     drop_entry(dataset, site, /*lost=*/false);
     ++stats_.failed;
     resolve_dataset(dataset);  // may reschedule elsewhere, or re-defer

@@ -1,13 +1,13 @@
 //! FederationService: declarative replica management over the facility
-//! models — the Rucio-style generalisation of core::MirrorService (DESIGN.md
-//! §4i). Datasets live in meta::MetadataStore; replication rules ("2 copies
-//! on disk sites, 1 on tape", lifetimes, per-project quotas) are declared in
-//! code or parsed from `fed.*` properties; a deterministic resolution pass
-//! diffs desired vs. actual replica state and feeds a priority-ordered
-//! transfer scheduler that moves bytes through net::TransferEngine with the
-//! facility-wide retry contract. Subscribing the service to a
-//! fault::FaultInjector turns site failures into replica loss and automatic
-//! re-replication.
+//! models, Rucio-style (DESIGN.md §4i); the Heidelberg mirror is its
+//! one-rule case. Datasets live in meta::MetadataStore; replication rules
+//! ("2 copies on disk sites, 1 on tape", lifetimes, per-project quotas) are
+//! declared in code or parsed from `fed.*` properties; a deterministic
+//! resolution pass diffs desired vs. actual replica state and feeds a
+//! priority-ordered transfer scheduler that moves bytes through
+//! net::TransferEngine with the facility-wide retry contract. Subscribing
+//! the service to a fault::FaultInjector turns site failures into replica
+//! loss and automatic re-replication.
 //!
 //! Determinism: all state is kept in stable-id-ordered containers and the
 //! resolver iterates (dataset-id, rule-id) ascending, so a same-seed replay
@@ -19,7 +19,9 @@
 //!   lsdf_fed_resolutions_total                       resolution passes
 //!   lsdf_fed_transfers_total / lsdf_fed_bytes_total  completed replicas
 //!   lsdf_fed_backlog_transfers / _backlog_bytes      queued, not yet running
-//!   lsdf_fed_lost_replicas_total                     dropped by site faults
+//!   lsdf_fed_lost_replicas_total                     entries a site fault or
+//!                                                    drop_replica() removed,
+//!                                                    in any state
 //!   lsdf_fed_expired_replicas_total                  reclaimed on rule expiry
 //!   lsdf_fed_quota_deferred_total                    blocked by project quota
 //!   lsdf_fed_queue_wait_seconds (HDR)                resolve -> WAN submit
@@ -52,7 +54,7 @@ struct FederationConfig {
   // node; the origin copy itself is outside the replica map and never
   // reclaimed).
   net::NodeId origin_gateway = 0;
-  // WAN protocol efficiency, as core::MirrorService (2011 long-haul TCP).
+  // WAN protocol efficiency (2011 long-haul TCP).
   double wan_efficiency = 0.62;
   // Concurrent WAN transfers across the whole federation.
   int max_concurrent = 4;
@@ -95,9 +97,12 @@ class FederationService {
   // affected dataset immediately (event-driven resolution).
   void start();
   // Subscribe to an injector: a fault on a site's `fault_component` marks
-  // the site offline, drops its replicas (complete ones are lost; in-flight
-  // transfers are doomed and re-resolved on their terminal report) and
-  // re-resolves; recovery marks it online and re-resolves everything.
+  // the site offline, drops every replica entry it hosts — queued, in
+  // flight or complete, each counted in stats().lost — and re-resolves the
+  // affected datasets. A queued entry leaves the backlog at once; an
+  // in-flight transfer keeps its WAN slot until its terminal report, which
+  // discards itself. Recovery marks the site online and re-resolves
+  // everything.
   void attach_faults(fault::FaultInjector& injector);
 
   // -- Resolution ----------------------------------------------------------------
@@ -127,7 +132,8 @@ class FederationService {
 
   // -- Fault surface (also exercised directly by tests) -----------------------------
   void set_site_online(const std::string& name, bool online);
-  // Lose one replica (complete or in-flight) and re-resolve the dataset.
+  // Lose one replica entry (queued, in flight or complete; counted in
+  // stats().lost) and re-resolve the dataset.
   void drop_replica(meta::DatasetId dataset, const std::string& site_name);
 
  private:

@@ -82,7 +82,9 @@ struct FederationStats {
   std::int64_t replicated = 0;     // replicas that completed
   std::int64_t failed = 0;         // transfers that exhausted their retries
   std::int64_t retries = 0;        // WAN attempts beyond the first
-  std::int64_t lost = 0;           // replicas dropped by site faults
+  // Replica entries dropped by a site fault or drop_replica(): queued, in
+  // flight or complete — every entry removed that way counts once.
+  std::int64_t lost = 0;
   std::int64_t expired = 0;        // replicas reclaimed by rule expiry
   std::int64_t quota_deferred = 0; // transfers deferred by project quotas
   Bytes bytes_replicated;

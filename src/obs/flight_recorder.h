@@ -103,7 +103,12 @@ class FlightRecorder {
   [[nodiscard]] Ring& local_ring();
   void on_contract_failure(const char* what);
   static void contract_failure_trampoline(const char* what);
+  [[nodiscard]] static std::uint64_t next_id();
 
+  // Process-unique identity, the key of the thread-local ring cache: a
+  // destroyed recorder's address can be reused by the next one, its id
+  // cannot.
+  const std::uint64_t id_ = next_id();
   std::atomic<bool> enabled_{false};
   std::atomic<std::size_t> capacity_{kDefaultCapacity};
   mutable chk::TrackedMutex mutex_{"obs.flight_recorder"};

@@ -5,8 +5,8 @@
 //! Design rules:
 //!  * Handle-based updates: callers resolve an instrument once (one lock,
 //!    one map lookup) and then update it through a stable reference. The hot
-//!    path — Counter::add, Gauge::set, Histogram::observe — is a relaxed
-//!    atomic operation, never a lock or a lookup.
+//!    path — Counter::add, Gauge::set, HdrHistogram::record — is a handful
+//!    of relaxed atomic operations, never a lock or a lookup.
 //!  * Instruments live as long as the registry (node-stable storage); handles
 //!    returned by the registry never dangle.
 //!  * Gauges can either be set directly or bound to a provider callback
@@ -34,7 +34,7 @@ namespace lsdf::obs {
 // canonicalised (sorted by key) when used as a registry key.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-enum class InstrumentKind { kCounter, kGauge, kHistogram, kHdrHistogram };
+enum class InstrumentKind { kCounter, kGauge, kHdrHistogram };
 
 // Monotonic event count. add() is a single relaxed fetch_add.
 class Counter {
@@ -75,40 +75,6 @@ class Gauge {
   std::function<double()> provider_ LSDF_GUARDED_BY(provider_mutex_);
 };
 
-// Fixed-boundary histogram (Prometheus semantics: cumulative buckets on
-// export, plus sum and count; an implicit +Inf bucket catches overflow).
-// observe() is a short bounds scan plus two relaxed atomic adds.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double x);
-
-  [[nodiscard]] std::int64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  // Non-cumulative count of bucket i (i == bounds().size() is +Inf).
-  [[nodiscard]] std::int64_t bucket_count(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  void reset();
-
-  // `count` boundaries growing geometrically from `start` by `factor`.
-  [[nodiscard]] static std::vector<double> exponential_bounds(double start,
-                                                              double factor,
-                                                              std::size_t count);
-
- private:
-  std::vector<double> bounds_;  // strictly increasing upper bounds
-  std::deque<std::atomic<std::int64_t>> buckets_;  // bounds_.size() + 1
-  std::atomic<std::int64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 // One instrument flattened for consumers (monitor sampling, bench reports).
 struct InstrumentSnapshot {
   std::string name;
@@ -116,9 +82,6 @@ struct InstrumentSnapshot {
   InstrumentKind kind = InstrumentKind::kCounter;
   double value = 0.0;        // counter value / gauge value / histogram sum
   std::int64_t count = 0;    // histogram observation count
-  // Histogram only: (upper bound, cumulative count) pairs; the final entry
-  // is (+Inf, total count).
-  std::vector<std::pair<double, std::int64_t>> cumulative_buckets;
   // HdrHistogram only: (quantile, value) for p50/p90/p99/p999, plus the
   // exact recorded maximum.
   std::vector<std::pair<double, double>> quantiles;
@@ -141,15 +104,9 @@ class MetricsRegistry {
                                  const Labels& labels = {});
   [[nodiscard]] Gauge& gauge(const std::string& name,
                              const Labels& labels = {});
-  [[nodiscard]] Histogram& histogram(const std::string& name,
-                                     std::vector<double> bounds,
-                                     const Labels& labels = {});
-  // Log-bucketed latency histogram (see obs/hdr_histogram.h). The house
-  // rule — enforced by lsdf_lint's hdr-latency check — is that every
-  // `*_seconds` latency
-  // instrument in src/ uses this; fixed-boundary histograms stay for
-  // size/count distributions. Exported as a Prometheus summary with
-  // quantile="0.5/0.9/0.99/0.999/1" series.
+  // Log-bucketed histogram (see obs/hdr_histogram.h), the registry's one
+  // distribution type. Exported as a Prometheus summary with
+  // quantile="0.5/0.9/0.99/0.999/1" series plus _sum/_count.
   [[nodiscard]] HdrHistogram& hdr_histogram(const std::string& name,
                                             const Labels& labels = {});
 
@@ -165,8 +122,8 @@ class MetricsRegistry {
   [[nodiscard]] double gauge_total(const std::string& name) const;
 
   [[nodiscard]] std::vector<InstrumentSnapshot> snapshot() const;
-  // Prometheus text exposition format (counters get a _total-less name as
-  // registered; histograms expand to _bucket/_sum/_count).
+  // Prometheus text exposition format (names as registered; histograms
+  // expand to summary quantile series plus _sum/_count).
   [[nodiscard]] std::string to_prometheus() const;
   // CSV: name,labels,field,value — one row per scalar.
   [[nodiscard]] std::string to_csv() const;
@@ -184,7 +141,6 @@ class MetricsRegistry {
     InstrumentKind kind;
     Counter* counter = nullptr;
     Gauge* gauge = nullptr;
-    Histogram* histogram = nullptr;
     HdrHistogram* hdr = nullptr;
   };
 
@@ -200,7 +156,6 @@ class MetricsRegistry {
   // on the instruments themselves and deliberately lock-free.
   std::deque<Counter> counters_ LSDF_GUARDED_BY(mutex_);
   std::deque<Gauge> gauges_ LSDF_GUARDED_BY(mutex_);
-  std::deque<Histogram> histograms_ LSDF_GUARDED_BY(mutex_);
   std::deque<HdrHistogram> hdr_histograms_ LSDF_GUARDED_BY(mutex_);
   std::map<std::string, Entry> entries_
       LSDF_GUARDED_BY(mutex_);  // canonical key -> entry

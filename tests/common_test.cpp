@@ -355,20 +355,6 @@ TEST(Samples, PercentileOfEmptyViolatesContract) {
   EXPECT_THROW((void)samples.percentile(0.5), ContractViolation);
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(5.6);
-  h.add(-3.0);   // clamps into bucket 0
-  h.add(100.0);  // clamps into bucket 9
-  EXPECT_EQ(h.bucket(0), 2);
-  EXPECT_EQ(h.bucket(5), 2);
-  EXPECT_EQ(h.bucket(9), 1);
-  EXPECT_EQ(h.total(), 5);
-  EXPECT_DOUBLE_EQ(h.bucket_low(5), 5.0);
-}
-
 TEST(TimeSeries, RecordsAndDownsamples) {
   TimeSeries series;
   for (int i = 0; i < 100; ++i) {

@@ -1,9 +1,10 @@
 // Tests for the federation layer (fed::FederationService): declarative
 // replica rules over a small multi-site WAN world — deterministic
-// resolution, priority scheduling, quotas, lifetimes, and the mirror-era
-// re-replication edge cases the rule engine must preserve (replica lost
-// mid-transfer, site down at resolution time, rule satisfied by an
-// in-flight copy).
+// resolution, priority scheduling, quotas, lifetimes, re-replication edge
+// cases (replica lost mid-transfer or while queued, site down at
+// resolution time, rule satisfied by an in-flight copy), the one-rule
+// Heidelberg mirror's WAN contract (bounded concurrency, retry and stall
+// across outages, trigger dedup) and the pinned E11 mirror day.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +13,10 @@
 #include <vector>
 
 #include "chk/replay.h"
+#include "core/facility.h"
 #include "fault/injector.h"
 #include "fed/federation.h"
+#include "ingest/sources.h"
 #include "meta/store.h"
 #include "net/topology.h"
 #include "net/transfer_engine.h"
@@ -80,6 +83,12 @@ struct World {
   }
 
   void run_for(SimDuration d) { sim.run_until(sim.now() + d); }
+
+  // Take a site's WAN link down/up; the engine stalls or resumes flows.
+  void set_link_up(net::LinkId link, bool up) {
+    topology.set_duplex_up(link, up);
+    net.resync();
+  }
 };
 
 TEST(Federation, RuleKeepsTwoDiskCopiesAndOneTapeCopy) {
@@ -117,6 +126,7 @@ TEST(Federation, TriggerTagGatesTheRuleAndDoneTagIsStamped) {
   ASSERT_TRUE(w.store.tag(id, "share").is_ok());
   w.run_for(1_h);
   EXPECT_EQ(w.fed->stats().replicated, 1);
+  EXPECT_EQ(w.fed->stats().bytes_replicated, 10_GB);
   const auto record = w.store.get(id).value();
   EXPECT_NE(std::find(record.tags.begin(), record.tags.end(), "shared"),
             record.tags.end());
@@ -141,6 +151,159 @@ TEST(Federation, InFlightCopySatisfiesTheRule) {
   w.run_for(1_h);
   EXPECT_EQ(w.fed->stats().replicated, 1);
   EXPECT_EQ(w.fed->replicas(id).size(), 1u);
+}
+
+TEST(Federation, RepeatedTriggersScheduleOneCopy) {
+  World w;
+  w.add_disk_sites();
+  w.fed->add_rule({.name = "share", .trigger_tag = "share", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->start();
+  const meta::DatasetId id = w.ingest("frame-1");
+  ASSERT_TRUE(w.store.tag(id, "share").is_ok());
+  w.fed->resolve_dataset(id);
+  w.fed->resolve_dataset(id);
+  w.run_for(1_h);
+  // A re-tag after completion schedules nothing: the rule is satisfied.
+  ASSERT_TRUE(w.store.untag(id, "share").is_ok());
+  ASSERT_TRUE(w.store.tag(id, "share").is_ok());
+  w.run_for(1_h);
+  EXPECT_EQ(w.fed->stats().scheduled, 1);
+  EXPECT_EQ(w.fed->stats().replicated, 1);
+  EXPECT_EQ(w.fed->replicas(id).size(), 1u);
+}
+
+TEST(Federation, OtherTagsDoNothing) {
+  World w;
+  w.add_disk_sites();
+  w.fed->add_rule({.name = "share", .trigger_tag = "share", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->start();
+  const meta::DatasetId id = w.ingest("frame-1");
+  ASSERT_TRUE(w.store.tag(id, "unrelated").is_ok());
+  w.run_for(1_h);
+  EXPECT_EQ(w.fed->stats().scheduled, 0);
+  EXPECT_EQ(w.fed->backlog(), 0u);
+  EXPECT_TRUE(w.fed->replicas(id).empty());
+}
+
+TEST(Federation, ReTagWhileInFlightSchedulesNoDuplicate) {
+  World w;
+  w.add_disk_sites();
+  w.fed->add_rule({.name = "share", .trigger_tag = "share", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->start();
+  const meta::DatasetId id = w.ingest("frame-1");
+  ASSERT_TRUE(w.store.tag(id, "share").is_ok());
+  w.run_for(10_s);  // on the wire, far from the 80 s finish
+  EXPECT_EQ(w.fed->in_flight(), 1);
+  ASSERT_TRUE(w.store.untag(id, "share").is_ok());
+  ASSERT_TRUE(w.store.tag(id, "share").is_ok());
+  w.fed->resolve_dataset(id);
+  EXPECT_EQ(w.fed->stats().scheduled, 1);
+  w.run_for(1_h);
+  EXPECT_EQ(w.fed->stats().scheduled, 1);
+  EXPECT_EQ(w.fed->stats().replicated, 1);
+  EXPECT_EQ(w.fed->replicas(id).size(), 1u);
+}
+
+TEST(Federation, UnknownDatasetIsIgnored) {
+  World w;
+  w.add_disk_sites();
+  w.fed->add_rule({.name = "one-copy", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->start();
+  w.fed->resolve_dataset(9999);
+  w.run_for(1_min);
+  EXPECT_EQ(w.fed->stats().resolutions, 0);
+  EXPECT_EQ(w.fed->stats().scheduled, 0);
+  EXPECT_EQ(w.fed->backlog(), 0u);
+}
+
+TEST(Federation, ConcurrencyIsBounded) {
+  FederationConfig config = World::base_config();
+  config.max_concurrent = 2;
+  World w(config);
+  w.fed->add_site({"site-a", w.node_a, StorageClass::kDisk, ""});
+  w.fed->add_rule({.name = "one-copy", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->start();
+  for (int i = 0; i < 6; ++i) (void)w.ingest("frame-" + std::to_string(i));
+  w.run_for(1_s);
+  EXPECT_EQ(w.fed->in_flight(), 2);
+  EXPECT_EQ(w.fed->backlog(), 4u);
+  EXPECT_EQ(w.fed->backlog_bytes(), 40_GB);
+  w.run_for(1_h);
+  EXPECT_EQ(w.fed->stats().replicated, 6);
+  EXPECT_EQ(w.fed->in_flight(), 0);
+  EXPECT_EQ(w.fed->backlog(), 0u);
+}
+
+TEST(Federation, RetriesWhenWanIsDownAtSubmission) {
+  FederationConfig config = World::base_config();
+  config.retry.max_attempts = 10;
+  World w(config);
+  w.fed->add_site({"site-a", w.node_a, StorageClass::kDisk, ""});
+  w.fed->add_rule({.name = "one-copy", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->start();
+  w.set_link_up(w.link_a, false);
+  const meta::DatasetId id = w.ingest("frame-1");
+  w.run_for(3_min);
+  EXPECT_GT(w.fed->stats().retries, 0);
+  EXPECT_FALSE(w.fed->has_replica(id, "site-a"));
+  w.set_link_up(w.link_a, true);
+  w.run_for(1_h);
+  EXPECT_TRUE(w.fed->has_replica(id, "site-a"));
+  EXPECT_EQ(w.fed->stats().failed, 0);
+  EXPECT_EQ(w.fed->stats().scheduled, 1);
+}
+
+TEST(Federation, InFlightTransferStallsAcrossAnOutage) {
+  // An outage mid-transfer stalls the flow and repair resumes it (the
+  // engine's stall/resync path): no retry, no failure, one copy.
+  World w;
+  w.fed->add_site({"site-a", w.node_a, StorageClass::kDisk, ""});
+  w.fed->add_rule({.name = "one-copy", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->start();
+  const meta::DatasetId id = w.ingest("frame-1");
+  w.run_for(10_s);
+  EXPECT_EQ(w.fed->in_flight(), 1);
+  w.set_link_up(w.link_a, false);
+  w.run_for(30_min);
+  EXPECT_FALSE(w.fed->has_replica(id, "site-a"));
+  EXPECT_EQ(w.fed->in_flight(), 1);
+  w.set_link_up(w.link_a, true);
+  w.run_for(1_h);
+  EXPECT_TRUE(w.fed->has_replica(id, "site-a"));
+  EXPECT_EQ(w.fed->stats().retries, 0);
+  EXPECT_EQ(w.fed->stats().failed, 0);
+  EXPECT_EQ(w.fed->stats().scheduled, 1);
+}
+
+TEST(Federation, ExhaustedRetriesReResolveUntilTheWanReturns) {
+  // A transfer that runs out of attempts fails and the dataset re-resolves
+  // at once, so a fresh attempt chain starts without a new trigger; the
+  // copy completes as soon as the WAN is back.
+  FederationConfig config = World::base_config();
+  config.retry.max_attempts = 3;
+  World w(config);
+  w.fed->add_site({"site-a", w.node_a, StorageClass::kDisk, ""});
+  w.fed->add_rule({.name = "one-copy", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->start();
+  w.set_link_up(w.link_a, false);
+  const meta::DatasetId id = w.ingest("frame-1");
+  w.run_for(1_h);
+  EXPECT_GE(w.fed->stats().failed, 1);
+  EXPECT_FALSE(w.fed->has_replica(id, "site-a"));
+  w.set_link_up(w.link_a, true);
+  w.run_for(1_h);
+  EXPECT_TRUE(w.fed->has_replica(id, "site-a"));
+  EXPECT_EQ(w.fed->stats().replicated, 1);
+  EXPECT_EQ(w.fed->in_flight(), 0);
+  EXPECT_EQ(w.fed->backlog(), 0u);
 }
 
 TEST(Federation, SiteDownAtResolutionDefersUntilRecovery) {
@@ -207,6 +370,39 @@ TEST(Federation, SiteFaultTriggersReReplicationToAnotherSite) {
   EXPECT_TRUE(w.fed->site_online("site-a"));
   EXPECT_EQ(w.fed->stats().lost, 1);
   EXPECT_EQ(w.fed->replicas(id).size(), 1u);
+}
+
+TEST(Federation, SiteFaultCountsAQueuedReplicaAsLost) {
+  FederationConfig config = World::base_config();
+  config.max_concurrent = 1;
+  World w(config);
+  w.fed->add_site({"site-a", w.node_a, StorageClass::kDisk, "link-a"});
+  w.fed->add_site({"site-b", w.node_b, StorageClass::kDisk, "link-b"});
+  fault::FaultInjector injector(w.sim, 0xFED5EED);
+  injector.register_link("link-b", w.topology, w.link_b);
+  injector.on_topology_change([&w] { w.net.resync(); });
+  w.fed->attach_faults(injector);
+  w.fed->add_rule({.name = "one-copy", .copies = 1,
+                   .storage = StorageClass::kDisk});
+  w.fed->start();
+  // frame-1 takes the only WAN slot towards site-a; frame-2 waits in the
+  // backlog for the least-loaded site, site-b.
+  (void)w.ingest("frame-1");
+  const meta::DatasetId second = w.ingest("frame-2");
+  EXPECT_EQ(w.fed->in_flight(), 1);
+  EXPECT_EQ(w.fed->backlog(), 1u);
+  ASSERT_TRUE(
+      injector.schedule_fault("link-b", w.sim.now() + 10_s, 1_h).is_ok());
+  w.run_for(20_s);
+  // The fault drops the queued entry (counted lost) and re-resolution
+  // queues the copy for site-a instead.
+  EXPECT_EQ(w.fed->stats().lost, 1);
+  EXPECT_EQ(w.fed->stats().scheduled, 3);
+  EXPECT_EQ(w.fed->backlog(), 1u);
+  w.run_for(1_h);
+  EXPECT_EQ(w.fed->stats().replicated, 2);
+  EXPECT_TRUE(w.fed->has_replica(second, "site-a"));
+  EXPECT_EQ(w.fed->stats().lost, 1);
 }
 
 TEST(Federation, ProjectQuotaDefersAndReleasesTransfers) {
@@ -376,6 +572,134 @@ TEST(Federation, SameSeedReplaysIdentically) {
   };
   chk::require_replay_deterministic(scenario, 0x6665645F5245504CULL,
                                     "federation scenario");
+}
+
+// --- E11: the Heidelberg mirror day ------------------------------------------
+
+struct MirrorDay {
+  std::int64_t scheduled = 0;
+  std::int64_t replicated = 0;
+  std::int64_t failed = 0;
+  std::int64_t retries = 0;
+  std::size_t peak_backlog = 0;
+};
+
+// The E11 one-rule Heidelberg mirror on the facility's WAN: every
+// "share-with-heidelberg" dataset of zebrafish-htm gets one disk copy at
+// Heidelberg and the "mirrored" tag, with the mirror's WAN parameters.
+std::unique_ptr<FederationService> heidelberg_mirror(
+    core::Facility& facility) {
+  FederationConfig config;
+  config.origin_gateway = facility.ingest_node();
+  config.wan_efficiency = 0.62;
+  config.max_concurrent = 4;
+  config.retry.max_attempts = 50;
+  config.retry.initial_backoff = 5_min;
+  config.retry.max_backoff = 15_min;
+  config.retry_seed = 0x6d6972726f72ULL;
+  auto fed = std::make_unique<FederationService>(
+      facility.simulator(), facility.network(), facility.metadata(), config);
+  fed->add_site({.name = "heidelberg",
+                 .gateway = facility.heidelberg_node(),
+                 .storage = StorageClass::kDisk});
+  fed->add_rule({.name = "heidelberg-mirror",
+                 .project = "zebrafish-htm",
+                 .trigger_tag = "share-with-heidelberg",
+                 .done_tag = "mirrored",
+                 .copies = 1,
+                 .storage = StorageClass::kDisk});
+  fed->start();
+  return fed;
+}
+
+TEST(Federation, TagTriggersWanCopyAndDoneTag) {
+  core::Facility facility(core::small_facility_config());
+  ASSERT_TRUE(
+      facility.metadata().create_project("zebrafish-htm", {}).is_ok());
+  const auto fed = heidelberg_mirror(facility);
+  const auto id = facility.metadata().register_dataset(
+      {.project = "zebrafish-htm",
+       .name = "frame-1",
+       .data_uri = "adal://frame-1",
+       .size = 100_MB,
+       .now = facility.simulator().now()});
+  ASSERT_TRUE(id.is_ok());
+  ASSERT_TRUE(
+      facility.metadata().tag(id.value(), "share-with-heidelberg").is_ok());
+  facility.simulator().run_while_pending(
+      [&] { return fed->has_replica(id.value(), "heidelberg"); });
+  EXPECT_EQ(fed->stats().replicated, 1);
+  EXPECT_EQ(fed->stats().bytes_replicated, 100_MB);
+  const auto record = facility.metadata().get(id.value()).value();
+  EXPECT_NE(std::find(record.tags.begin(), record.tags.end(), "mirrored"),
+            record.tags.end());
+}
+
+// The E11 acquisition day (bench_e11_heidelberg_mirror): 300 bundles of
+// 20 GB, every 3rd tagged for BioQuant, mirrored by one federation rule
+// with the mirror's WAN parameters; optionally the WAN is down 08:00-10:00.
+MirrorDay run_mirror_day(bool outage) {
+  core::FacilityConfig config = core::small_facility_config();
+  config.ingest.parallel_slots = 32;
+  core::Facility facility(config);
+  sim::Simulator& sim = facility.simulator();
+  EXPECT_TRUE(
+      facility.metadata().create_project("zebrafish-htm", {}).is_ok());
+  const auto fed = heidelberg_mirror(facility);
+  facility.rules().add_rule(meta::Rule{
+      .name = "share-sample",
+      .on = meta::EventKind::kRegistered,
+      .action =
+          [&facility](const meta::DatasetRecord& record,
+                      const meta::MetaEvent&) {
+            if (record.id % 3 == 0) {
+              (void)facility.metadata().tag(record.id,
+                                            "share-with-heidelberg");
+            }
+          }});
+  ingest::SourceConfig camera =
+      ingest::htm_microscope_source(facility.daq_node());
+  camera.items_per_day = 300.0;
+  camera.mean_item_size = 20_GB;
+  camera.name_prefix = "bundle";
+  ingest::ExperimentSource source(sim, facility.ingest(), camera, 77);
+  source.start(SimTime::zero(), SimTime::zero() + 24_h);
+  if (outage) {
+    sim.schedule_after(8_h, [&] { facility.set_wan_up(false); });
+    sim.schedule_after(10_h, [&] { facility.set_wan_up(true); });
+  }
+  MirrorDay day;
+  sim::PeriodicTask probe(sim, 5_min, [&] {
+    day.peak_backlog =
+        std::max(day.peak_backlog,
+                 fed->backlog() + static_cast<std::size_t>(fed->in_flight()));
+  });
+  probe.start_at(SimTime::zero() + 5_min);
+  sim.run_until(SimTime::zero() + 30_h);
+  probe.stop();
+  day.scheduled = fed->stats().scheduled;
+  day.replicated = fed->stats().replicated;
+  day.failed = fed->stats().failed;
+  day.retries = fed->stats().retries;
+  return day;
+}
+
+TEST(Federation, MirrorDayReplicatesEverySharedBundle) {
+  const MirrorDay day = run_mirror_day(false);
+  EXPECT_EQ(day.scheduled, 102);
+  EXPECT_EQ(day.replicated, 102);
+  EXPECT_EQ(day.failed, 0);
+  EXPECT_EQ(day.retries, 0);
+  EXPECT_EQ(day.peak_backlog, 1u);
+}
+
+TEST(Federation, MirrorDayOutageGrowsTheBacklogNotTheFailures) {
+  const MirrorDay day = run_mirror_day(true);
+  EXPECT_EQ(day.scheduled, 102);
+  EXPECT_EQ(day.replicated, 102);
+  EXPECT_EQ(day.failed, 0);
+  EXPECT_EQ(day.retries, 30);
+  EXPECT_EQ(day.peak_backlog, 11u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -89,60 +90,30 @@ TEST(Gauge, BoundProviderIsSampledAtReadAndFrozenByUnbind) {
   EXPECT_FALSE(gauge.bound());
 }
 
-TEST(Histogram, PrometheusLeBucketSemantics) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("lat", {1.0, 10.0, 100.0});
-  h.observe(0.5);    // <= 1      -> bucket 0
-  h.observe(1.0);    // <= 1      -> bucket 0 (le is inclusive)
-  h.observe(3.0);    // <= 10     -> bucket 1
-  h.observe(1000.0); // overflow  -> +Inf bucket
-  EXPECT_EQ(h.bucket_count(0), 2);
-  EXPECT_EQ(h.bucket_count(1), 1);
-  EXPECT_EQ(h.bucket_count(2), 0);
-  EXPECT_EQ(h.bucket_count(3), 1);  // +Inf
-  EXPECT_EQ(h.count(), 4);
-  EXPECT_DOUBLE_EQ(h.sum(), 1004.5);
-}
-
-TEST(Histogram, ExponentialBounds) {
-  const auto bounds = Histogram::exponential_bounds(1e-3, 10.0, 4);
-  ASSERT_EQ(bounds.size(), 4u);
-  EXPECT_DOUBLE_EQ(bounds[0], 1e-3);
-  EXPECT_DOUBLE_EQ(bounds[3], 1.0);
-}
-
-TEST(Snapshot, CumulativeBucketsEndAtInfWithTotalCount) {
-  MetricsRegistry registry;
-  Histogram& h = registry.histogram("lat", {1.0, 2.0});
-  h.observe(0.5);
-  h.observe(1.5);
-  h.observe(5.0);
-  const auto snaps = registry.snapshot();
-  ASSERT_EQ(snaps.size(), 1u);
-  const auto& buckets = snaps[0].cumulative_buckets;
-  ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_EQ(buckets[0].second, 1);  // le 1.0
-  EXPECT_EQ(buckets[1].second, 2);  // le 2.0
-  EXPECT_TRUE(std::isinf(buckets[2].first));
-  EXPECT_EQ(buckets[2].second, 3);  // +Inf == count
-}
-
 // --- Export goldens ----------------------------------------------------------
 
 TEST(Export, PrometheusTextFormat) {
   MetricsRegistry registry;
   registry.counter("lsdf_ops_total", {{"op", "read"}}).add(3);
   registry.gauge("lsdf_depth").set(2.0);
-  registry.histogram("lsdf_lat", {0.5, 5.0}).observe(1.0);
+  HdrHistogram& latency =
+      registry.hdr_histogram("lsdf_lat_seconds", {{"op", "read"}});
+  latency.record(0.25);
+  latency.record(1.0);
+  latency.record(4.0);
+  // p50 is the midpoint of 1.0's bucket (1 + 1/128); p90 and up land in
+  // 4.0's bucket, whose midpoint is clamped to the recorded max.
   const std::string expected =
       "# TYPE lsdf_depth gauge\n"
       "lsdf_depth 2\n"
-      "# TYPE lsdf_lat histogram\n"
-      "lsdf_lat_bucket{le=\"0.5\"} 0\n"
-      "lsdf_lat_bucket{le=\"5\"} 1\n"
-      "lsdf_lat_bucket{le=\"+Inf\"} 1\n"
-      "lsdf_lat_sum 1\n"
-      "lsdf_lat_count 1\n"
+      "# TYPE lsdf_lat_seconds summary\n"
+      "lsdf_lat_seconds{op=\"read\",quantile=\"0.5\"} 1.00781\n"
+      "lsdf_lat_seconds{op=\"read\",quantile=\"0.9\"} 4\n"
+      "lsdf_lat_seconds{op=\"read\",quantile=\"0.99\"} 4\n"
+      "lsdf_lat_seconds{op=\"read\",quantile=\"0.999\"} 4\n"
+      "lsdf_lat_seconds{op=\"read\",quantile=\"1\"} 4\n"
+      "lsdf_lat_seconds_sum{op=\"read\"} 5.25\n"
+      "lsdf_lat_seconds_count{op=\"read\"} 3\n"
       "# TYPE lsdf_ops_total counter\n"
       "lsdf_ops_total{op=\"read\"} 3\n";
   EXPECT_EQ(registry.to_prometheus(), expected);
@@ -151,13 +122,18 @@ TEST(Export, PrometheusTextFormat) {
 TEST(Export, CsvFormat) {
   MetricsRegistry registry;
   registry.counter("ops", {{"op", "read"}}).add(3);
-  registry.histogram("lat", {1.0}).observe(0.25);
+  HdrHistogram& latency = registry.hdr_histogram("lat");
+  latency.record(0.25);
+  latency.record(1.0);
   const std::string expected =
       "name,labels,field,value\n"
-      "lat,\"\",sum,0.25\n"
-      "lat,\"\",count,1\n"
-      "lat,\"\",le_1,1\n"
-      "lat,\"\",le_+Inf,1\n"
+      "lat,\"\",sum,1.25\n"
+      "lat,\"\",count,2\n"
+      "lat,\"\",p50,0.251953\n"  // midpoint of 0.25's bucket
+      "lat,\"\",p90,1\n"         // 1.0's bucket, clamped to the max
+      "lat,\"\",p99,1\n"
+      "lat,\"\",p999,1\n"
+      "lat,\"\",max,1\n"
       // RFC 4180: quotes inside the quoted labels field double.
       "ops,\"{op=\"\"read\"\"}\",value,3\n";
   EXPECT_EQ(registry.to_csv(), expected);
@@ -167,10 +143,10 @@ TEST(Export, ResetValuesZeroesEverythingButKeepsHandles) {
   MetricsRegistry registry;
   Counter& counter = registry.counter("c");
   Gauge& gauge = registry.gauge("g");
-  Histogram& histogram = registry.histogram("h", {1.0});
+  HdrHistogram& histogram = registry.hdr_histogram("h");
   counter.add(5);
   gauge.set(5.0);
-  histogram.observe(0.5);
+  histogram.record(0.5);
   registry.reset_values();
   EXPECT_EQ(counter.value(), 0);
   EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
@@ -186,8 +162,7 @@ TEST(Concurrency, HammerFromThreadPoolWorkers) {
   MetricsRegistry registry;
   Counter& counter = registry.counter("hits");
   Gauge& gauge = registry.gauge("level");
-  Histogram& histogram =
-      registry.histogram("obs", Histogram::exponential_bounds(1.0, 2.0, 8));
+  HdrHistogram& histogram = registry.hdr_histogram("obs");
   constexpr int kTasks = 64;
   constexpr int kOpsPerTask = 1000;
   exec::ThreadPool pool(4);
@@ -196,7 +171,7 @@ TEST(Concurrency, HammerFromThreadPoolWorkers) {
       for (int i = 0; i < kOpsPerTask; ++i) {
         counter.add(1);
         gauge.set(static_cast<double>(i));
-        histogram.observe(static_cast<double>((t * kOpsPerTask + i) % 200));
+        histogram.record(static_cast<double>((t * kOpsPerTask + i) % 200));
         // Interleave get-or-create races on the registry lock too.
         registry.counter("shared", {{"t", std::to_string(t % 4)}}).add(1);
       }
@@ -206,16 +181,18 @@ TEST(Concurrency, HammerFromThreadPoolWorkers) {
   EXPECT_EQ(counter.value(), kTasks * kOpsPerTask);
   EXPECT_EQ(histogram.count(), kTasks * kOpsPerTask);
   EXPECT_EQ(registry.counter_total("shared"), kTasks * kOpsPerTask);
-  // Cumulative buckets are monotone and end at the total count.
+  // Exported quantiles are monotone and bounded by the exact max.
   const auto snaps = registry.snapshot();
   for (const auto& snap : snaps) {
-    if (snap.kind != InstrumentKind::kHistogram) continue;
-    std::int64_t previous = 0;
-    for (const auto& [bound, cumulative] : snap.cumulative_buckets) {
-      EXPECT_GE(cumulative, previous);
-      previous = cumulative;
+    if (snap.kind != InstrumentKind::kHdrHistogram) continue;
+    EXPECT_EQ(snap.count, kTasks * kOpsPerTask);
+    EXPECT_DOUBLE_EQ(snap.max, 199.0);
+    double previous = 0.0;
+    for (const auto& [q, value] : snap.quantiles) {
+      EXPECT_GE(value, previous);
+      EXPECT_LE(value, snap.max);
+      previous = value;
     }
-    EXPECT_EQ(snap.cumulative_buckets.back().second, snap.count);
   }
 }
 
@@ -544,6 +521,20 @@ TEST(FlightRecorder, RingWrapsAndDumpShowsNewestEvents) {
   EXPECT_NE(dump.find("mark-12"), std::string::npos);
   EXPECT_NE(dump.find("mark-19"), std::string::npos);
   EXPECT_NE(dump.find("12 overwritten"), std::string::npos);
+}
+
+TEST(FlightRecorder, RecorderAtAReusedAddressGetsItsOwnRing) {
+  // The thread-local ring cache must not hand a new recorder the freed
+  // ring of an earlier one that lived at the same address.
+  alignas(FlightRecorder) unsigned char storage[sizeof(FlightRecorder)];
+  for (int round = 0; round < 2; ++round) {
+    auto* recorder = new (storage) FlightRecorder();
+    recorder->enable(true);
+    recorder->record_at(round, 'M', "mark");
+    EXPECT_EQ(recorder->recorded(), 1u);
+    EXPECT_NE(recorder->dump().find("mark"), std::string::npos);
+    recorder->~FlightRecorder();
+  }
 }
 
 TEST(FlightRecorder, RecordsRequestAttributionAndTruncatesNames) {
