@@ -11,8 +11,10 @@
 
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "dfs/cluster_builder.h"
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
+#include "mapreduce/job_tracker.h"
 #include "mapreduce/local_runner.h"
 #include "meta/query.h"
 #include "meta/store.h"
@@ -151,6 +153,49 @@ void BM_LocalRunnerWordHistogram(benchmark::State& state) {
   state.SetItemsProcessed(state.range(0) * state.iterations());
 }
 BENCHMARK(BM_LocalRunnerWordHistogram)->Arg(100000);
+
+void BM_JobTrackerStragglerJob(benchmark::State& state) {
+  // Host time of one speculative map-only job, one map per 1 MB block on
+  // the 60-node cluster with 10% slow nodes. Per-completion and per-offer
+  // scheduling work must not grow with the map count, so 16x the maps
+  // should cost about 16x the time, not 16^2.
+  const std::int64_t maps = state.range(0);
+  sim::Simulator sim;
+  const dfs::ClusterLayout layout =
+      dfs::build_cluster_layout(dfs::ClusterLayoutConfig{});
+  net::TransferEngine net(sim, layout.topology);
+  dfs::DfsConfig dfs_config;
+  dfs_config.block_size = 1_MB;
+  dfs::DfsCluster dfs(sim, layout.topology, net, dfs_config);
+  dfs::register_datanodes(dfs, layout);
+  mapreduce::TrackerConfig tracker_config;
+  tracker_config.straggler_fraction = 0.1;
+  mapreduce::JobTracker tracker(sim, dfs, net, tracker_config);
+  dfs.write_file("/in", Bytes(maps * dfs_config.block_size.count()),
+                 layout.headnode, nullptr);
+  sim.run();
+
+  mapreduce::JobSpec spec;
+  spec.input_path = "/in";
+  spec.map_rate = Rate::megabytes_per_second(1.0);
+  spec.reduce_tasks = 0;
+  spec.speculative_execution = true;
+  std::int64_t launched = 0;
+  for (auto _ : state) {
+    tracker.submit(spec, [&](const mapreduce::JobResult& result) {
+      launched += result.speculative_launched;
+    });
+    sim.run();
+    benchmark::DoNotOptimize(launched);
+  }
+  state.counters["speculative"] = benchmark::Counter(
+      static_cast<double>(launched), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(maps * state.iterations());
+}
+BENCHMARK(BM_JobTrackerStragglerJob)
+    ->Arg(1000)
+    ->Arg(16000)
+    ->Unit(benchmark::kMillisecond);
 
 // --- Simulation-kernel throughput (events/s drives every experiment) ---------
 

@@ -136,19 +136,20 @@ void JobTracker::schedule() {
           }
           // A task is eligible on `node` unless it already completed or an
           // attempt of it is running there (speculative duplicates must go
-          // to a different node).
+          // to a different node). Completed entries are skipped rather than
+          // purged per offer, which would cost a pass over the whole list;
+          // schedule() drops them once before it returns.
           auto eligible = [&](std::size_t task_index) {
             const MapTask& task = job.maps[task_index];
-            if (task.completed) return false;
+            if (task.completed) {
+              job.pending_has_completed = true;
+              return false;
+            }
             for (const Attempt& attempt : task.attempts) {
               if (attempt.node == node) return false;
             }
             return true;
           };
-          // Purge entries of already-completed tasks as we go.
-          std::erase_if(job.pending_maps, [&](std::size_t task_index) {
-            return job.maps[task_index].completed;
-          });
           std::size_t chosen_pos = job.pending_maps.size();
           if (job.spec.scheduler == SchedulerPolicy::kRandom) {
             std::vector<std::size_t> candidates;
@@ -202,6 +203,13 @@ void JobTracker::schedule() {
       }
     }
   }
+  for (auto& [id, job] : jobs_) {
+    if (!job.pending_has_completed) continue;
+    std::erase_if(job.pending_maps, [&](std::size_t task_index) {
+      return job.maps[task_index].completed;
+    });
+    job.pending_has_completed = false;
+  }
 }
 
 bool JobTracker::assign_map(Job& job, dfs::DataNodeId node,
@@ -212,6 +220,7 @@ bool JobTracker::assign_map(Job& job, dfs::DataNodeId node,
   for (const Attempt& attempt : task.attempts) {
     if (attempt.node == node) return false;
   }
+  drop_candidate(job, task_index);
   if (!task.attempts.empty()) {
     ++job.result.speculative_launched;
     speculative_launched_metric_.add(1);
@@ -232,6 +241,7 @@ void JobTracker::run_map_attempt(JobId job_id, std::size_t task_index,
   attempt.started = simulator_.now();
   attempt.locality = dfs_.block_locality(task.block, node);
   task.attempts.push_back(attempt);
+  add_candidate(job, task_index);
 
   // Phase 1: pull the block (free when node-local thanks to replica choice).
   dfs_.read_block(
@@ -249,13 +259,12 @@ void JobTracker::run_map_attempt(JobId job_id, std::size_t task_index,
           Job& job = job_it->second;
           --job.running_tasks;
           if (!job.maps[task_index].completed) {
-            auto& attempts = job.maps[task_index].attempts;
-            attempts.erase(
-                std::remove_if(attempts.begin(), attempts.end(),
-                               [&](const Attempt& a) {
-                                 return a.node == attempt.node;
-                               }),
-                attempts.end());
+            drop_candidate(job, task_index);
+            std::erase_if(job.maps[task_index].attempts,
+                          [&](const Attempt& a) {
+                            return a.node == attempt.node;
+                          });
+            add_candidate(job, task_index);
             job.pending_maps.push_back(task_index);
           }
           schedule();
@@ -291,6 +300,7 @@ void JobTracker::map_attempt_finished(JobId job_id, std::size_t task_index,
     schedule();
     return;
   }
+  drop_candidate(job, task_index);
   task.completed = true;
   // A speculation "win" means a duplicate attempt beat the original.
   if (task.attempts.size() > 1 &&
@@ -313,8 +323,7 @@ void JobTracker::map_attempt_finished(JobId job_id, std::size_t task_index,
       remote_maps_metric_.add(1);
       break;
   }
-  job.completed_map_seconds.push_back(
-      (simulator_.now() - attempt.started).seconds());
+  record_map_seconds(job, (simulator_.now() - attempt.started).seconds());
   const auto output = Bytes(static_cast<std::int64_t>(
       task.size.as_double() * job.spec.map_output_ratio));
   job.map_output_at_node[attempt.node] += output;
@@ -330,24 +339,58 @@ void JobTracker::map_attempt_finished(JobId job_id, std::size_t task_index,
   schedule();
 }
 
+void JobTracker::drop_candidate(Job& job, std::size_t task_index) {
+  const MapTask& task = job.maps[task_index];
+  if (is_candidate(task)) {
+    job.candidates.erase({task.attempts.front().started, task_index});
+  }
+}
+
+void JobTracker::add_candidate(Job& job, std::size_t task_index) {
+  const MapTask& task = job.maps[task_index];
+  if (is_candidate(task)) {
+    job.candidates.emplace(task.attempts.front().started, task_index);
+  }
+}
+
+void JobTracker::record_map_seconds(Job& job, double seconds) {
+  auto& shorter = job.shorter_maps;
+  auto& longer = job.longer_maps;
+  if (!longer.empty() && seconds < longer.top()) {
+    shorter.push(seconds);
+  } else {
+    longer.push(seconds);
+  }
+  const std::size_t half = (shorter.size() + longer.size()) / 2;
+  while (shorter.size() > half) {
+    longer.push(shorter.top());
+    shorter.pop();
+  }
+  while (shorter.size() < half) {
+    shorter.push(longer.top());
+    longer.pop();
+  }
+}
+
 void JobTracker::consider_speculation(Job& job) {
   if (!job.spec.speculative_execution) return;
-  if (job.completed_map_seconds.size() < 3) return;
-  std::vector<double> sorted = job.completed_map_seconds;
-  std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
-                   sorted.end());
-  const double median = sorted[sorted.size() / 2];
-  for (std::size_t i = 0; i < job.maps.size(); ++i) {
-    MapTask& task = job.maps[i];
-    if (task.completed || task.attempts.size() != 1 || task.speculating) {
-      continue;
-    }
-    const double elapsed =
-        (simulator_.now() - task.attempts.front().started).seconds();
-    if (elapsed > job.spec.speculation_factor * median) {
-      task.speculating = true;  // reset by assign_map accounting
-      job.pending_maps.push_back(i);
-    }
+  if (job.shorter_maps.size() + job.longer_maps.size() < 3) return;
+  const double threshold =
+      job.spec.speculation_factor * job.longer_maps.top();
+  // Oldest attempt first; the first one within the threshold ends the walk.
+  std::vector<std::size_t> overrun;
+  auto stop = job.candidates.begin();
+  for (; stop != job.candidates.end(); ++stop) {
+    const double elapsed = (simulator_.now() - stop->first).seconds();
+    if (!(elapsed > threshold)) break;
+    overrun.push_back(stop->second);
+  }
+  job.candidates.erase(job.candidates.begin(), stop);
+  // Queue duplicates in task order, as a scan over every map would.
+  std::sort(overrun.begin(), overrun.end());
+  for (const std::size_t task_index : overrun) {
+    job.maps[task_index].speculating = true;
+    job.pending_maps.push_back(task_index);
   }
 }
 

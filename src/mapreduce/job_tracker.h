@@ -16,8 +16,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <queue>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -88,9 +92,37 @@ class JobTracker {
     std::int64_t pending_reduces = 0;
     std::int64_t reduces_remaining = 0;
     std::int64_t running_tasks = 0;  // attempts in flight (fair share)
-    std::vector<double> completed_map_seconds;  // for speculation median
-    std::vector<Bytes> map_output_at_node;      // indexed by datanode
+    // Set when a slot scan skipped the entry of a completed task;
+    // schedule() then drops such entries once before it returns.
+    bool pending_has_completed = false;
+    // Running exact median of completed map durations. `shorter_maps` (a
+    // max-heap) holds the n/2 smallest values and `longer_maps` (a
+    // min-heap) the rest, so longer_maps.top() is the rank-n/2 value: the
+    // element nth_element places at n/2 of the sorted durations. O(log n)
+    // per completion.
+    std::priority_queue<double> shorter_maps;
+    std::priority_queue<double, std::vector<double>, std::greater<>>
+        longer_maps;
+    // Speculation candidates (see is_candidate), ordered by the start of
+    // their single attempt, then task index. Elapsed time falls as start
+    // time rises, so when a candidate has not overrun factor * median, no
+    // later one has: the walk from the oldest entry can stop there and
+    // still pick exactly the tasks a scan of every map would. Holds at
+    // most one entry per running attempt, so it is bounded by the slots.
+    std::set<std::pair<SimTime, std::size_t>> candidates;
+    std::vector<Bytes> map_output_at_node;  // indexed by datanode
   };
+
+  // A task speculation may duplicate: still running its only attempt and
+  // not yet picked for a duplicate.
+  [[nodiscard]] static bool is_candidate(const MapTask& task) {
+    return !task.completed && task.attempts.size() == 1 && !task.speculating;
+  }
+  // Keep Job::candidates in step with one task: drop it before changing
+  // the task's attempts or flags, add it back after.
+  static void drop_candidate(Job& job, std::size_t task_index);
+  static void add_candidate(Job& job, std::size_t task_index);
+  static void record_map_seconds(Job& job, double seconds);
 
   void schedule();  // match free slots to pending work, all jobs
   // Job ids in the order slots should be offered (per config_.job_order).

@@ -246,6 +246,129 @@ TEST(JobTracker, SpeedupIsMonotoneInNodeCount) {
   }
 }
 
+// Exact decisions of straggler jobs with speculation on. The values were
+// read off the reference scheduler, which recomputed the completed-map
+// median and scanned every map on each completion and purged finished
+// tasks from the pending list on every slot offer. A faster bookkeeping
+// must reproduce each of them bit for bit. Three racks make remote reads
+// (and so varied map durations) possible; under the random scheduler the
+// order in which duplicates are queued feeds the RNG draws, so a wrong
+// median rank or queue order shows up in the counts.
+struct Decisions {
+  std::int64_t launched = 0;
+  std::int64_t won = 0;
+  std::int64_t node_local = 0;
+  std::int64_t rack_local = 0;
+  std::int64_t remote = 0;
+  std::int64_t finished_ns = 0;
+  bool operator==(const Decisions&) const = default;
+};
+
+void PrintTo(const Decisions& d, std::ostream* os) {
+  *os << "{" << d.launched << ", " << d.won << ", " << d.node_local << ", "
+      << d.rack_local << ", " << d.remote << ", " << d.finished_ns << "}";
+}
+
+Decisions decisions_of(const JobResult& result) {
+  EXPECT_TRUE(result.status.is_ok());
+  return {result.speculative_launched, result.speculative_won,
+          result.node_local_maps,      result.rack_local_maps,
+          result.remote_maps,          result.finished.nanos()};
+}
+
+TrackerConfig straggler_config(std::uint64_t seed,
+                               JobOrder order = JobOrder::kFifo) {
+  TrackerConfig config;
+  config.straggler_fraction = 0.3;
+  config.straggler_slowdown = 8.0;
+  config.seed = seed;
+  config.job_order = order;
+  return config;
+}
+
+TEST(JobTracker, SpeculationDecisionsArePinned) {
+  std::vector<Decisions> locality;
+  std::vector<Decisions> random;
+  std::vector<Decisions> fair_share;  // two jobs per seed
+  std::vector<Decisions> failover;
+  for (const std::uint64_t seed : {1, 4, 7, 11}) {
+    for (const SchedulerPolicy policy :
+         {SchedulerPolicy::kLocalityAware, SchedulerPolicy::kRandom}) {
+      TrackerFixture f(3, 4, straggler_config(seed));
+      f.load("/in", 8_GB);
+      JobSpec spec = basic_job("/in");
+      spec.speculative_execution = true;
+      spec.scheduler = policy;
+      const Decisions d = decisions_of(f.run(spec));
+      (policy == SchedulerPolicy::kRandom ? random : locality).push_back(d);
+    }
+    {
+      // A second job arrives while the first is mapping.
+      TrackerFixture f(3, 4, straggler_config(seed, JobOrder::kFairShare));
+      f.load("/a", 4_GB);
+      f.load("/b", 2_GB);
+      std::optional<JobResult> first;
+      std::optional<JobResult> second;
+      JobSpec second_spec = basic_job("/b");
+      second_spec.scheduler = SchedulerPolicy::kRandom;
+      f.tracker.submit(basic_job("/a"),
+                       [&](const JobResult& r) { first = r; });
+      f.sim.schedule_after(5_s, [&] {
+        f.tracker.submit(second_spec,
+                         [&](const JobResult& r) { second = r; });
+      });
+      f.sim.run();
+      ASSERT_TRUE(first && second);
+      fair_share.push_back(decisions_of(*first));
+      fair_share.push_back(decisions_of(*second));
+    }
+    {
+      // A datanode fails mid-job: re-replication traffic competes with the
+      // map reads, which the surviving replicas serve.
+      TrackerFixture f(3, 4, straggler_config(seed));
+      f.load("/in", 4_GB);
+      std::optional<JobResult> result;
+      JobSpec spec = basic_job("/in");
+      spec.scheduler = SchedulerPolicy::kRandom;
+      f.tracker.submit(spec, [&](const JobResult& r) { result = r; });
+      f.sim.schedule_after(20_s, [&] {
+        ASSERT_TRUE(f.dfs.fail_datanode(0).is_ok());
+      });
+      f.sim.run();
+      ASSERT_TRUE(result.has_value());
+      failover.push_back(decisions_of(*result));
+    }
+  }
+  EXPECT_EQ(locality, (std::vector<Decisions>{
+                          {8, 5, 120, 4, 1, 99418866759},
+                          {8, 3, 121, 4, 0, 97630066753},
+                          {9, 1, 121, 1, 3, 135366366758},
+                          {6, 6, 119, 5, 1, 97214266759},
+                      }));
+  EXPECT_EQ(random, (std::vector<Decisions>{
+                          {10, 6, 30, 47, 48, 107910281039},
+                          {11, 5, 27, 55, 43, 100562865499},
+                          {14, 5, 34, 47, 44, 143721516086},
+                          {9, 5, 33, 49, 43, 99422366752},
+                      }));
+  EXPECT_EQ(fair_share, (std::vector<Decisions>{
+                          {8, 8, 51, 7, 5, 73095800069},
+                          {0, 0, 6, 11, 15, 67562700068},
+                          {8, 7, 56, 3, 4, 72706720069},
+                          {0, 0, 11, 12, 9, 67372483400},
+                          {10, 10, 55, 6, 2, 91679233403},
+                          {0, 0, 8, 9, 15, 76568700069},
+                          {10, 7, 53, 5, 5, 72873200070},
+                          {0, 0, 8, 17, 7, 67551894513},
+                      }));
+  EXPECT_EQ(failover, (std::vector<Decisions>{
+                          {8, 4, 13, 28, 22, 58800111156},
+                          {8, 3, 16, 27, 20, 58748191711},
+                          {16, 5, 14, 26, 23, 77385369308},
+                          {6, 5, 15, 28, 20, 50811283379},
+                      }));
+}
+
 // --- LocalRunner (real execution) -------------------------------------------------
 
 TEST(LocalRunner, WordCount) {
