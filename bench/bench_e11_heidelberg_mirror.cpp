@@ -15,8 +15,8 @@
 #include "exec/thread_pool.h"
 #include "fed/federation.h"
 #include "ingest/sources.h"
-#include "net/link_monitor.h"
 #include "partitioned_site.h"
+#include "sim/sampler.h"
 
 using namespace lsdf;
 
@@ -77,9 +77,10 @@ DayResult run_day(bool outage) {
             }
           }});
 
-  net::LinkMonitor wan(sim, facility.topology(), facility.network(),
-                       1_min);
-  wan.watch(facility.wan_link());
+  sim::Sampler wan(sim, 1_min);
+  wan.watch("wan_bps", [&facility] {
+    return facility.network().link_load(facility.wan_link()).bps();
+  });
   wan.start();
 
   // 20 GB microscopy bundles, ~300/day (6 TB/day with derived data).
@@ -115,7 +116,8 @@ DayResult run_day(bool outage) {
   result.retries = federation.stats().retries;
   result.failures = federation.stats().failed;
   result.wan_mean_utilization =
-      wan.mean_utilization(facility.wan_link());
+      wan.series("wan_bps").mean() /
+      facility.topology().link(facility.wan_link()).capacity.bps();
   return result;
 }
 

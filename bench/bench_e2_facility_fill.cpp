@@ -13,8 +13,8 @@
 #include "core/facility.h"
 #include "exec/thread_pool.h"
 #include "ingest/sources.h"
-#include "net/link_monitor.h"
 #include "partitioned_site.h"
+#include "sim/sampler.h"
 
 using namespace lsdf;
 
@@ -153,10 +153,11 @@ int main(int argc, char** argv) {
     sources.push_back(anka);
   }
 
-  // Measure, not compute, the backbone load: watch the DAQ uplink.
-  net::LinkMonitor backbone(sim, facility.topology(), facility.network(),
-                            1_h);
-  backbone.watch(facility.daq_link());
+  // Measure, not compute, the backbone load: sample the DAQ uplink.
+  sim::Sampler backbone(sim, 1_h);
+  backbone.watch("daq_uplink_bps", [&facility] {
+    return facility.network().link_load(facility.daq_link()).bps();
+  });
   backbone.start();
 
   std::vector<std::unique_ptr<ingest::ExperimentSource>> running;
@@ -195,11 +196,14 @@ int main(int argc, char** argv) {
   bench::row("backbone transfer: one 10 GE link moves %.2f TB/day flat out",
              Rate::gigabits_per_second(10.0).bps() * 86400.0 / 1e12);
   backbone.stop();
+  const TimeSeries& uplink = backbone.series("daq_uplink_bps");
+  const double uplink_bps =
+      facility.topology().link(facility.daq_link()).capacity.bps();
   bench::row("measured DAQ uplink utilisation: mean %.1f%%, peak %.0f%% "
              "(hourly samples) -> the dedicated 10 GE backbone is "
              "correctly sized",
-             backbone.mean_utilization(facility.daq_link()) * 100.0,
-             backbone.peak_utilization(facility.daq_link()) * 100.0);
+             uplink.mean() / uplink_bps * 100.0,
+             uplink.max() / uplink_bps * 100.0);
   bench::row("ingest latency mean %.2f s (hourly ~83 GB bundles)",
              stats.latency_seconds.mean());
 

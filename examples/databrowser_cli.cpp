@@ -17,7 +17,6 @@
 
 #include "core/data_browser.h"
 #include "core/facility.h"
-#include "core/monitor.h"
 #include "meta/query_parser.h"
 
 using namespace lsdf;
@@ -166,9 +165,7 @@ int main() {
         std::printf("  %-20s %zu\n", value.c_str(), count);
       }
     } else if (command == "report") {
-      core::FacilityMonitor monitor(facility, 1_h);
-      monitor.sample();
-      std::fputs(monitor.status_report().c_str(), stdout);
+      std::fputs(facility.status_report().c_str(), stdout);
     } else if (command == "download") {
       meta::DatasetId id = 0;
       in >> id;

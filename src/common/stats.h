@@ -96,6 +96,20 @@ class TimeSeries {
     return points_.back().value;
   }
 
+  // Mean and maximum over every point; 0 for an empty series.
+  [[nodiscard]] double mean() const {
+    if (points_.empty()) return 0.0;
+    double total = 0.0;
+    for (const Point& point : points_) total += point.value;
+    return total / static_cast<double>(points_.size());
+  }
+  [[nodiscard]] double max() const {
+    if (points_.empty()) return 0.0;
+    double peak = points_.front().value;
+    for (const Point& point : points_) peak = std::max(peak, point.value);
+    return peak;
+  }
+
   // Downsample to at most `n` evenly spaced points (for printed figures).
   // n == 0 yields an empty vector (a figure with no rows), not everything.
   [[nodiscard]] std::vector<Point> downsample(std::size_t n) const {

@@ -1,6 +1,7 @@
 #include "core/facility.h"
 
 #include <set>
+#include <sstream>
 
 namespace lsdf::core {
 
@@ -121,8 +122,8 @@ Facility::Facility(FacilityConfig config)
       simulator_, *net_, *adal_, metadata_, ingest_config);
 
   // --- Facility-level gauges. -------------------------------------------------
-  // Bound as providers: exports and FacilityMonitor::sample() see the live
-  // value without the facility pushing updates. ~Facility unbinds them.
+  // Bound as providers: exports and sim::Sampler see the live value without
+  // the facility pushing updates. ~Facility unbinds them.
   auto& registry = obs::MetricsRegistry::global();
   registry.gauge("lsdf_pool_used_bytes").bind([this] {
     return pool_.used().as_double();
@@ -148,6 +149,52 @@ Facility::~Facility() {
   registry.gauge("lsdf_catalogue_datasets").unbind();
   registry.gauge("lsdf_dfs_used_bytes").unbind();
   registry.gauge("lsdf_cloud_running_vms").unbind();
+}
+
+std::string Facility::status_report() const {
+  std::ostringstream out;
+  out << "== LSDF status at "
+      << format_duration(simulator_.now() - SimTime::zero()) << " ==\n";
+  out << "online storage: " << format_bytes(pool_.used()) << " / "
+      << format_bytes(pool_.capacity());
+  out << "  (ddn " << format_bytes(ddn_->used()) << ", ibm "
+      << format_bytes(ibm_->used()) << ")\n";
+  out << "archive:        " << format_bytes(tape_->used()) << " on tape, "
+      << hsm_->object_count() << " HSM objects\n";
+  out << "hdfs:           " << format_bytes(dfs_->used()) << " / "
+      << format_bytes(dfs_->capacity()) << " across "
+      << dfs_->datanode_count() << " datanodes ("
+      << dfs_->under_replicated_blocks() << " under-replicated blocks)\n";
+  out << "catalogue:      " << metadata_.dataset_count() << " datasets, "
+      << format_bytes(metadata_.total_bytes()) << " registered, projects:";
+  for (const auto& name : metadata_.project_names()) out << " " << name;
+  out << "\n";
+  out << "ingest:         " << ingest_->stats().completed << " completed, "
+      << ingest_->in_flight() << " in flight, " << ingest_->queue_depth()
+      << " queued\n";
+  const auto& registry = obs::MetricsRegistry::global();
+  const std::int64_t cache_hits =
+      registry.counter_total("lsdf_cache_hits_total");
+  const std::int64_t cache_misses =
+      registry.counter_total("lsdf_cache_misses_total");
+  if (cache_hits + cache_misses > 0) {
+    out << "read caches:    "
+        << format_bytes(Bytes(static_cast<std::int64_t>(
+               registry.gauge_total("lsdf_cache_used_bytes"))))
+        << " resident, "
+        << format_bytes(Bytes(
+               registry.counter_total("lsdf_cache_served_bytes_total")))
+        << " served, hit rate "
+        << static_cast<int>(100.0 * static_cast<double>(cache_hits) /
+                            static_cast<double>(cache_hits + cache_misses))
+        << "%\n";
+  }
+  out << "cloud:          " << cloud_->running_vms() << " VMs running on "
+      << cloud_->host_count() << " hosts\n";
+  out << "workflows:      " << workflow_engine_->runs_completed()
+      << " completed of " << workflow_engine_->runs_started()
+      << " started\n";
+  return out.str();
 }
 
 Result<FacilityConfig> facility_config_from_properties(

@@ -144,6 +144,10 @@ class Facility {
 
   [[nodiscard]] const FacilityConfig& config() const { return config_; }
 
+  // Multi-line snapshot of the facility right now — the operations view
+  // ("infrastructure and storage services up and running", slide 15).
+  [[nodiscard]] std::string status_report() const;
+
  private:
   FacilityConfig config_;
   sim::Simulator simulator_;

@@ -107,7 +107,8 @@ class IngestPipeline {
   sim::Resource slots_;
   IngestStats stats_;
 
-  // Telemetry: queue depth is also what core::FacilityMonitor samples.
+  // Telemetry: the registry gauge lsdf_ingest_queue_depth, which a
+  // sim::Sampler watching "lsdf_" records over time.
   obs::Gauge& queue_depth_metric_;
   obs::Counter& ok_items_metric_;
   obs::Counter& failed_items_metric_;

@@ -62,6 +62,13 @@ int JobTracker::free_reduce_slots(dfs::DataNodeId node) const {
   return config_.reduce_slots_per_node - reduce_slots_in_use_[node];
 }
 
+int JobTracker::slots_in_use() const {
+  int in_use = 0;
+  for (const int slots : map_slots_in_use_) in_use += slots;
+  for (const int slots : reduce_slots_in_use_) in_use += slots;
+  return in_use;
+}
+
 JobId JobTracker::submit(const JobSpec& spec, JobCallback done) {
   const JobId id = next_id_++;
   Job job;
@@ -102,6 +109,20 @@ JobId JobTracker::submit(const JobSpec& spec, JobCallback done) {
   return id;
 }
 
+bool JobTracker::has_pending_maps() const {
+  return std::any_of(jobs_.begin(), jobs_.end(), [](const auto& entry) {
+    return entry.second.phase == Phase::kMapping &&
+           !entry.second.pending_maps.empty();
+  });
+}
+
+bool JobTracker::has_pending_reduces() const {
+  return std::any_of(jobs_.begin(), jobs_.end(), [](const auto& entry) {
+    return entry.second.phase == Phase::kShuffling &&
+           entry.second.pending_reduces > 0;
+  });
+}
+
 std::vector<JobId> JobTracker::job_offer_order() const {
   std::vector<JobId> order;
   order.reserve(jobs_.size());
@@ -127,7 +148,9 @@ void JobTracker::schedule() {
   while (assigned_any) {
     assigned_any = false;
     for (dfs::DataNodeId node = 0; node < map_slots_in_use_.size(); ++node) {
-      while (free_map_slots(node) > 0) {
+      // The offer order is rebuilt per slot (fair share re-sorts after each
+      // assignment), so skip the loops outright when no job has such work.
+      while (has_pending_maps() && free_map_slots(node) > 0) {
         bool assigned = false;
         for (const JobId offered_id : job_offer_order()) {
           auto& job = jobs_.at(offered_id);
@@ -184,7 +207,7 @@ void JobTracker::schedule() {
         }
         if (!assigned) break;
       }
-      while (free_reduce_slots(node) > 0) {
+      while (has_pending_reduces() && free_reduce_slots(node) > 0) {
         bool assigned = false;
         for (const JobId offered_id : job_offer_order()) {
           auto& job = jobs_.at(offered_id);
@@ -254,19 +277,15 @@ void JobTracker::run_map_attempt(JobId job_id, std::size_t task_index,
           return;
         }
         if (!read.status.is_ok()) {
-          // Replica lost mid-job: requeue the task.
+          // read_block already tried every replica: the block is lost
+          // (all down or all corrupt), and a retry would fail the same way
+          // at the same instant. Fail the job, as Hadoop does once a task
+          // exhausts its attempts. A sibling that already finished the task
+          // makes the lost block moot.
           --map_slots_in_use_[attempt.node];
           Job& job = job_it->second;
           --job.running_tasks;
-          if (!job.maps[task_index].completed) {
-            drop_candidate(job, task_index);
-            std::erase_if(job.maps[task_index].attempts,
-                          [&](const Attempt& a) {
-                            return a.node == attempt.node;
-                          });
-            add_candidate(job, task_index);
-            job.pending_maps.push_back(task_index);
-          }
+          if (!job.maps[task_index].completed) finish_job(job, read.status);
           schedule();
           return;
         }

@@ -11,7 +11,10 @@
 //! Fidelity notes (documented substitutions):
 //!  * shuffle begins when all maps finish (Hadoop overlaps; the barrier is
 //!    conservative and preserves scaling shape);
-//!  * map output lives on the mapper's node, as in Hadoop.
+//!  * map output lives on the mapper's node, as in Hadoop;
+//!  * a map whose block has no readable replica fails the job at once
+//!    (Hadoop first retries the task up to 4 times, but every retry would
+//!    read the same lost block).
 #pragma once
 
 #include <cstdint>
@@ -59,6 +62,8 @@ class JobTracker {
   JobId submit(const JobSpec& spec, JobCallback done);
 
   [[nodiscard]] std::size_t running_jobs() const { return jobs_.size(); }
+  // Map plus reduce slots held by running attempts, over all nodes.
+  [[nodiscard]] int slots_in_use() const;
   [[nodiscard]] double node_slowdown(dfs::DataNodeId node) const {
     return slow_factor_.at(node);
   }
@@ -127,6 +132,9 @@ class JobTracker {
   void schedule();  // match free slots to pending work, all jobs
   // Job ids in the order slots should be offered (per config_.job_order).
   [[nodiscard]] std::vector<JobId> job_offer_order() const;
+  // Whether any job could take a map (reduce) slot right now.
+  [[nodiscard]] bool has_pending_maps() const;
+  [[nodiscard]] bool has_pending_reduces() const;
   bool assign_map(Job& job, dfs::DataNodeId node, std::size_t task_index);
   void run_map_attempt(JobId job_id, std::size_t task_index,
                        dfs::DataNodeId node);

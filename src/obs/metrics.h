@@ -75,7 +75,7 @@ class Gauge {
   std::function<double()> provider_ LSDF_GUARDED_BY(provider_mutex_);
 };
 
-// One instrument flattened for consumers (monitor sampling, bench reports).
+// One instrument flattened for consumers (sim::Sampler, bench reports).
 struct InstrumentSnapshot {
   std::string name;
   Labels labels;

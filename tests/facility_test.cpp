@@ -7,7 +7,7 @@
 
 #include "core/data_browser.h"
 #include "core/facility.h"
-#include "core/monitor.h"
+#include "sim/sampler.h"
 #include "workflow/mapreduce_actor.h"
 
 namespace lsdf::core {
@@ -522,39 +522,43 @@ TEST(Facility, DaqTrafficOutranksBulkExportOnTheBackbone) {
 
 TEST(Facility, MonitorSamplesAndReports) {
   FacilityFixture f;
-  FacilityMonitor monitor(f.facility, 1_min);
-  monitor.start();
+  sim::Sampler sampler(f.facility.simulator(), 1_min);
+  sampler.watch("lsdf_");
+  sampler.start();
   f.ingest_one("frame-1");
   f.ingest_one("frame-2");
   f.facility.simulator().run_until(f.facility.simulator().now() + 10_min);
-  monitor.stop();
+  sampler.stop();
 
   // Series captured one point per minute plus the start sample.
-  EXPECT_GE(monitor.pool_used_bytes().points().size(), 10u);
-  EXPECT_DOUBLE_EQ(monitor.pool_used_bytes().last_value(), 8e6);
-  EXPECT_DOUBLE_EQ(monitor.dataset_count().last_value(), 2.0);
+  const TimeSeries& pool_used = sampler.series("lsdf_pool_used_bytes");
+  EXPECT_GE(pool_used.points().size(), 10u);
+  EXPECT_DOUBLE_EQ(pool_used.last_value(), 8e6);
+  EXPECT_DOUBLE_EQ(sampler.series("lsdf_catalogue_datasets").last_value(),
+                   2.0);
 
-  const std::string report = monitor.status_report();
+  const std::string report = f.facility.status_report();
   EXPECT_NE(report.find("online storage"), std::string::npos);
   EXPECT_NE(report.find("zebrafish-htm"), std::string::npos);
   EXPECT_NE(report.find("2 datasets"), std::string::npos);
 
-  const std::string csv = monitor.to_csv();
+  const std::string csv = sampler.to_csv();
   EXPECT_NE(csv.find("time_s,metric,value"), std::string::npos);
-  EXPECT_NE(csv.find("pool_used_bytes"), std::string::npos);
-  EXPECT_NE(csv.find("dataset_count"), std::string::npos);
+  EXPECT_NE(csv.find("lsdf_pool_used_bytes"), std::string::npos);
+  EXPECT_NE(csv.find("lsdf_catalogue_datasets"), std::string::npos);
 }
 
 TEST(Facility, MonitorTracksGrowthOverTime) {
   FacilityFixture f;
-  FacilityMonitor monitor(f.facility, 30_s);
-  monitor.start();
+  sim::Sampler sampler(f.facility.simulator(), 30_s);
+  sampler.watch("lsdf_catalogue_");
+  sampler.start();
   for (int i = 0; i < 5; ++i) {
     f.ingest_one("frame-" + std::to_string(i));
     f.facility.simulator().run_until(f.facility.simulator().now() + 1_min);
   }
-  monitor.stop();
-  const auto& series = monitor.dataset_count().points();
+  sampler.stop();
+  const auto& series = sampler.series("lsdf_catalogue_datasets").points();
   ASSERT_GE(series.size(), 2u);
   EXPECT_LE(series.front().value, series.back().value);
   EXPECT_DOUBLE_EQ(series.back().value, 5.0);

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "dfs/cluster_builder.h"
 #include "dfs/dfs.h"
-#include "net/link_monitor.h"
 #include "net/topology.h"
 #include "net/transfer_engine.h"
+#include "sim/sampler.h"
 
 namespace lsdf {
 namespace {
@@ -163,34 +164,55 @@ TEST(LinkFailover, TotalPartitionRejectsNewTransfers) {
   EXPECT_EQ(flow.status().code(), StatusCode::kUnavailable);
 }
 
-// --- LinkMonitor ----------------------------------------------------------------
+// --- Link utilisation through sim::Sampler -----------------------------------
 
-TEST(LinkMonitor, TracksUtilizationThroughAFlow) {
+std::string link_key(LinkId link) { return "link" + std::to_string(link); }
+
+// Watch one direction of a link as a probe of its allocated bandwidth.
+void watch_link(sim::Sampler& sampler, const RedundantFabric& f,
+                LinkId link) {
+  sampler.watch(link_key(link),
+                [&f, link] { return f.engine->link_load(link).bps(); });
+}
+
+// Peak / mean allocated bandwidth of a watched link over its capacity.
+double peak_utilization(const sim::Sampler& sampler, const RedundantFabric& f,
+                        LinkId link) {
+  return sampler.series(link_key(link)).max() /
+         f.topo.link(link).capacity.bps();
+}
+double mean_utilization(const sim::Sampler& sampler, const RedundantFabric& f,
+                        LinkId link) {
+  return sampler.series(link_key(link)).mean() /
+         f.topo.link(link).capacity.bps();
+}
+
+TEST(Sampler, TracksUtilizationThroughAFlow) {
   RedundantFabric f;
-  net::LinkMonitor monitor(f.sim, f.topo, *f.engine, 1_s);
-  monitor.watch(f.src_a);
-  monitor.watch(f.src_b);
-  monitor.start();
+  sim::Sampler sampler(f.sim, 1_s);
+  watch_link(sampler, f, f.src_a);
+  watch_link(sampler, f, f.src_b);
+  sampler.start();
   // 1000 MB at 100 MB/s over the primary path: ~10 s of saturation.
   ASSERT_TRUE(f.engine
                   ->start_transfer(f.src, f.dst, 1000_MB,
                                    TransferOptions{}, nullptr)
                   .is_ok());
   f.sim.run_until(SimTime::zero() + 20_s);
-  monitor.stop();
-  EXPECT_NEAR(monitor.peak_utilization(f.src_a), 1.0, 0.01);
-  EXPECT_DOUBLE_EQ(monitor.peak_utilization(f.src_b), 0.0);  // unused
+  sampler.stop();
+  EXPECT_NEAR(peak_utilization(sampler, f, f.src_a), 1.0, 0.01);
+  EXPECT_DOUBLE_EQ(peak_utilization(sampler, f, f.src_b), 0.0);  // unused
   // Saturated half the window: mean around 0.5.
-  EXPECT_NEAR(monitor.mean_utilization(f.src_a), 0.5, 0.1);
-  EXPECT_GE(monitor.series(f.src_a).points().size(), 20u);
+  EXPECT_NEAR(mean_utilization(sampler, f, f.src_a), 0.5, 0.1);
+  EXPECT_GE(sampler.series(link_key(f.src_a)).points().size(), 20u);
 }
 
-TEST(LinkMonitor, SeesTrafficShiftOnFailover) {
+TEST(Sampler, SeesTrafficShiftOnFailover) {
   RedundantFabric f;
-  net::LinkMonitor monitor(f.sim, f.topo, *f.engine, 1_s);
-  monitor.watch(f.src_a);
-  monitor.watch(f.src_b);
-  monitor.start();
+  sim::Sampler sampler(f.sim, 1_s);
+  watch_link(sampler, f, f.src_a);
+  watch_link(sampler, f, f.src_b);
+  sampler.start();
   ASSERT_TRUE(f.engine
                   ->start_transfer(f.src, f.dst, 2000_MB,
                                    TransferOptions{}, nullptr)
@@ -200,10 +222,10 @@ TEST(LinkMonitor, SeesTrafficShiftOnFailover) {
     f.engine->resync();
   });
   f.sim.run_until(SimTime::zero() + 25_s);
-  monitor.stop();
+  sampler.stop();
   // Both paths saw real traffic across the failover.
-  EXPECT_GT(monitor.peak_utilization(f.src_a), 0.9);
-  EXPECT_GT(monitor.peak_utilization(f.src_b), 0.9);
+  EXPECT_GT(peak_utilization(sampler, f, f.src_a), 0.9);
+  EXPECT_GT(peak_utilization(sampler, f, f.src_b), 0.9);
 }
 
 // --- DFS balancer & decommission -------------------------------------------------

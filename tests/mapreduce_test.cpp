@@ -228,6 +228,64 @@ TEST(JobTracker, SurvivesDatanodeFailureMidJob) {
   EXPECT_TRUE(result->status.is_ok());  // tasks re-ran elsewhere
 }
 
+// A block whose every replica is gone fails the job: read_block already
+// tried each replica, so requeueing the map would retry the same failure
+// at the same instant forever.
+TEST(JobTracker, LostBlockFailsTheJob) {
+  sim::Simulator sim;
+  dfs::ClusterLayoutConfig layout_config;
+  layout_config.racks = 1;
+  layout_config.nodes_per_rack = 4;
+  dfs::ClusterLayout layout = dfs::build_cluster_layout(layout_config);
+  net::TransferEngine net(sim, layout.topology);
+  dfs::DfsConfig dfs_config = TrackerFixture::dfs_config();
+  dfs_config.replication = 1;
+  dfs::DfsCluster dfs(sim, layout.topology, net, dfs_config);
+  dfs::register_datanodes(dfs, layout);
+  JobTracker tracker(sim, dfs, net, TrackerConfig{});
+
+  const auto write = [&](const std::string& path, Bytes size) {
+    bool done = false;
+    dfs.write_file(path, size, layout.headnode,
+                   [&](const dfs::DfsIoResult& r) {
+                     EXPECT_TRUE(r.status.is_ok());
+                     done = true;
+                   });
+    sim.run();
+    EXPECT_TRUE(done);
+  };
+  write("/in", 640_MB);  // 10 single-replica blocks over 4 datanodes
+  ASSERT_TRUE(dfs.fail_datanode(0).is_ok());
+  const auto input = dfs.stat("/in");
+  ASSERT_TRUE(input.is_ok());
+  int lost = 0;
+  for (const dfs::BlockId block : input.value().blocks) {
+    if (dfs.block_replicas(block).empty()) ++lost;
+  }
+  ASSERT_GT(lost, 0);
+
+  JobSpec spec = basic_job("/in");
+  spec.reduce_tasks = 0;
+  std::optional<JobResult> failed;
+  tracker.submit(spec, [&](const JobResult& r) { failed = r; });
+  sim.run();  // drains: the failure is final, not retried
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_FALSE(failed->status.is_ok());
+  EXPECT_EQ(tracker.running_jobs(), 0u);
+  EXPECT_EQ(tracker.slots_in_use(), 0);
+
+  // The tracker is still usable: healthy input lands on live nodes only.
+  write("/healthy", 256_MB);
+  std::optional<JobResult> healthy;
+  tracker.submit(basic_job("/healthy"),
+                 [&](const JobResult& r) { healthy = r; });
+  sim.run();
+  ASSERT_TRUE(healthy.has_value());
+  EXPECT_TRUE(healthy->status.is_ok());
+  EXPECT_EQ(healthy->map_tasks, 4);
+  EXPECT_EQ(tracker.slots_in_use(), 0);
+}
+
 // Property: job duration scales down monotonically with cluster size.
 TEST(JobTracker, SpeedupIsMonotoneInNodeCount) {
   std::map<int, double> durations;

@@ -9,6 +9,7 @@
 
 #include "common/require.h"
 #include "obs/metrics.h"
+#include "sim/sampler.h"
 #include "sim/simulator.h"
 
 namespace lsdf::sim {
@@ -489,6 +490,60 @@ TEST(PeriodicTask, DoubleStartViolatesContract) {
   PeriodicTask task(sim, 1_s, [] {});
   task.start_at(SimTime::zero() + 1_s);
   EXPECT_THROW(task.start_at(SimTime::zero() + 2_s), ContractViolation);
+}
+
+// --- Sampler ------------------------------------------------------------------
+
+TEST(Sampler, LabelSetRegisteredAfterStartJoinsLaterSamples) {
+  Simulator sim;
+  obs::MetricsRegistry registry;  // private: no other test's instruments
+  registry.gauge("site_used_bytes", {{"site", "kit"}}).set(1.0);
+  registry.counter("other_total").add(7);  // outside the watched prefix
+  Sampler sampler(sim, 10_s, registry);
+  sampler.watch("site_");
+  sampler.start();
+  sim.run_until(SimTime::zero() + 15_s);  // samples at 0, 1 ns, 10 s + 1 ns
+  registry.gauge("site_used_bytes", {{"site", "heidelberg"}}).set(2.0);
+  sim.run_until(SimTime::zero() + 35_s);  // and at 20 s, 30 s (+ 1 ns)
+  sampler.stop();
+
+  EXPECT_EQ(sampler.series("site_used_bytes{site=\"kit\"}").points().size(),
+            5u);
+  const TimeSeries& late =
+      sampler.series("site_used_bytes{site=\"heidelberg\"}");
+  ASSERT_EQ(late.points().size(), 2u);
+  EXPECT_EQ(late.points().front().time, SimTime::zero() + 1_ns + 20_s);
+  EXPECT_DOUBLE_EQ(late.last_value(), 2.0);
+  EXPECT_THROW((void)sampler.series("other_total"), ContractViolation);
+  // Label text is quoted in the CSV export.
+  EXPECT_NE(sampler.to_csv().find(",\"site_used_bytes{site=\"\"kit\"\"}\","),
+            std::string::npos);
+}
+
+TEST(Sampler, TicksAtStartThenOneNanosecondPlusWholePeriods) {
+  Simulator sim;
+  sim.run_until(SimTime::zero() + 3_s);
+  const SimTime t0 = sim.now();
+  const obs::MetricsRegistry registry;
+  Sampler sampler(sim, 10_s, registry);
+  double reading = 0.0;
+  sampler.watch("probe", [&reading] { return reading += 1.0; });
+  sampler.start();
+  sim.run_until(t0 + 35_s);
+  sampler.stop();
+
+  // t0, then t0 + 1 ns + k * period: E2's and E11's event counts and
+  // fingerprints depend on this schedule.
+  const std::vector<SimTime> expected = {t0, t0 + 1_ns, t0 + 1_ns + 10_s,
+                                         t0 + 1_ns + 20_s, t0 + 1_ns + 30_s};
+  const auto& points = sampler.series("probe").points();
+  ASSERT_EQ(points.size(), expected.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(points[i].time, expected[i]) << "tick " << i;
+    EXPECT_DOUBLE_EQ(points[i].value, static_cast<double>(i + 1));
+  }
+  EXPECT_DOUBLE_EQ(sampler.series("probe").mean(), 3.0);
+  EXPECT_DOUBLE_EQ(sampler.series("probe").max(), 5.0);
 }
 
 }  // namespace
