@@ -108,7 +108,6 @@ struct CacheAblation {
   double warm_mean_s = 0.0;   // passes 2-4
   double warm_hit_rate = 0.0; // cache hit rate over passes 2-4
   std::int64_t stages = 0;
-  std::int64_t cache_evictions = 0;
   chk::ReplayOutcome outcome;
 };
 
@@ -191,7 +190,6 @@ CacheAblation run_cache_trace(bool cached, std::uint64_t seed) {
         hits + misses == 0
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(hits + misses);
-    result.cache_evictions = stats.evictions;
   }
   result.stages = hsm.stats().tape_stages;
   result.outcome = chk::outcome_of(sim);
@@ -262,23 +260,12 @@ int main(int argc, char** argv) {
 
   // Determinism: the cached scenario must replay bit-identically — cache
   // state (LRU order, ghost sets) feeds the event stream, so any unordered
-  // iteration in lsdf::cache would show up here as a fingerprint mismatch.
+  // iteration in lsdf::cache would show up here as a fingerprint mismatch,
+  // and the bench exits non-zero.
   const chk::ReplayReport replay = chk::replay_check(
       [](std::uint64_t s) { return run_cache_trace(true, s).outcome; }, seed);
   bench::row("replay (cached): %s", replay.describe().c_str());
 
-  bench::write_json_section(
-      "BENCH_cache.json", "a2_hsm_read_cache",
-      {{"cold_mean_read_s", cached.cold_mean_s},
-       {"warm_mean_read_s", cached.warm_mean_s},
-       {"uncached_cold_mean_read_s", uncached.cold_mean_s},
-       {"uncached_warm_mean_read_s", uncached.warm_mean_s},
-       {"speedup", speedup},
-       {"warm_hit_rate", cached.warm_hit_rate},
-       {"tape_stages_cached", static_cast<double>(cached.stages)},
-       {"tape_stages_uncached", static_cast<double>(uncached.stages)},
-       {"cache_evictions", static_cast<double>(cached.cache_evictions)},
-       {"replay_deterministic", replay.deterministic() ? 1.0 : 0.0}});
   bench::obs_dump(obs_options);
-  return 0;
+  return replay.deterministic() ? 0 : 1;
 }

@@ -126,8 +126,7 @@ DayResult run_day(bool outage) {
 // pair lookahead (DESIGN.md §5c). Every 3rd local acquisition replicates
 // across — the mirror policy as deterministic cross-site mail. Reported as
 // perf_e11_sharded.
-void run_partitioned_section(unsigned workers, const std::string& json_path,
-                             const std::string& suffix) {
+void run_partitioned_section(unsigned workers, bench::JsonReport& report) {
   bench::section("partitioned 2-site run (KIT + Heidelberg, sharded kernel)");
   bench::PartitionedSpec spec;
   spec.sites = 2;
@@ -144,27 +143,7 @@ void run_partitioned_section(unsigned workers, const std::string& json_path,
              (unsigned long long)pair.parallel.mail_delivered,
              (unsigned long long)pair.parallel.windows_run,
              (unsigned long long)pair.parallel.idle_windows_skipped);
-  bench::row("serial oracle   %12llu events  %8.3f s  %7.2f Meps",
-             (unsigned long long)pair.serial.events, pair.serial.seconds,
-             pair.serial.events_per_sec() / 1e6);
-  bench::row("pool x%-9u %12llu events  %8.3f s  %7.2f Meps", pair.workers,
-             (unsigned long long)pair.parallel.events, pair.parallel.seconds,
-             pair.parallel.events_per_sec() / 1e6);
-  bench::row("fingerprint %016llx (serial == x%u), speedup %.2fx on %u hw "
-             "threads",
-             (unsigned long long)pair.serial.fingerprint, pair.workers,
-             pair.speedup(), hw);
-  if (!json_path.empty()) {
-    bench::write_json_section(
-        json_path, "perf_e11_sharded" + suffix,
-        {{"shards", 2.0},
-         {"workers", static_cast<double>(pair.workers)},
-         {"hw_threads", static_cast<double>(hw)},
-         {"events", static_cast<double>(pair.parallel.events)},
-         {"serial_meps", pair.serial.events_per_sec() / 1e6},
-         {"parallel_meps", pair.parallel.events_per_sec() / 1e6},
-         {"speedup", pair.speedup()}});
-  }
+  bench::report_partitioned_pair(pair, 2, "", "perf_e11_sharded", report);
 }
 
 }  // namespace
@@ -172,22 +151,20 @@ void run_partitioned_section(unsigned workers, const std::string& json_path,
 int main(int argc, char** argv) {
   unsigned workers = 0;  // 0 = min(2, hw threads)
   bool partitioned_only = false;
-  std::string json_path = "BENCH_perf.json";
-  std::string suffix;
+  bench::JsonReport report(argc, argv);
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--workers" && i + 1 < argc) {
       workers = static_cast<unsigned>(std::atoi(argv[i + 1]));
     }
     if (flag == "--partitioned-only") partitioned_only = true;
-    if (flag == "--json" && i + 1 < argc) json_path = argv[i + 1];
-    if (flag == "--section-suffix" && i + 1 < argc) suffix = argv[i + 1];
   }
   bench::headline("E11: cross-site mirroring to Heidelberg (slides 6/7)",
                   "tight cooperation with BioQuant over the dedicated WAN "
                   "link");
   if (partitioned_only) {
-    run_partitioned_section(workers, json_path, suffix);
+    run_partitioned_section(workers, report);
+    report.write();
     return 0;
   }
 
@@ -218,6 +195,7 @@ int main(int argc, char** argv) {
   bench::compare("outage grows the backlog, not the failure count", 0.0,
                  static_cast<double>(outage.failures), "failures");
 
-  run_partitioned_section(workers, json_path, suffix);
+  run_partitioned_section(workers, report);
+  report.write();
   return 0;
 }

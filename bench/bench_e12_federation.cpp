@@ -11,8 +11,8 @@
 // automatic re-replication of lost replicas — then replays the whole
 // scenario with chk::replay_check to prove the schedule is deterministic.
 //
-// Usage: bench_e12_federation [--smoke] [--trace f] [--metrics f]
-//        [--metrics-csv f] [--flight dir]
+// Usage: bench_e12_federation [--smoke] [--json f] [--trace f]
+//        [--metrics f] [--metrics-csv f] [--flight dir]
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -274,8 +274,8 @@ int main(int argc, char** argv) {
   bench::compare("replay deterministic", 1.0,
                  replay.deterministic() ? 1.0 : 0.0, "bool");
 
-  bench::write_json_section(
-      "BENCH_federation.json",
+  bench::JsonReport report(argc, argv);
+  report.add(
       smoke ? "e12_federation_smoke" : "e12_federation",
       {
           {"datasets", static_cast<double>(scale.datasets)},
@@ -291,6 +291,7 @@ int main(int argc, char** argv) {
           {"resolutions_per_s", day.resolutions_per_second},
           {"replay_deterministic", replay.deterministic() ? 1.0 : 0.0},
       });
+  report.write();
 
   bench::metrics_digest("lsdf_fed");
   bench::obs_dump(obs_options);

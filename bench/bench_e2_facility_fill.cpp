@@ -25,8 +25,7 @@ namespace {
 // once serially (the oracle) and once on a worker pool, with the merged
 // fingerprints REQUIREd byte-identical. Reported as perf_e2_sharded.
 void run_partitioned_section(std::uint32_t shards, unsigned workers,
-                             const std::string& json_path,
-                             const std::string& suffix) {
+                             bench::JsonReport& report) {
   bench::section("partitioned per-site run (sharded kernel)");
   bench::PartitionedSpec spec;
   spec.sites = shards;
@@ -37,31 +36,14 @@ void run_partitioned_section(std::uint32_t shards, unsigned workers,
   bench::row("%u sites, WAN lookahead %.1f ms (derived from the gateway "
              "ring, not the global backbone floor)",
              shards, pair.serial.pair_lookahead.seconds() * 1e3);
-  bench::row("serial oracle   %12llu events  %8.3f s  %7.2f Meps",
-             (unsigned long long)pair.serial.events, pair.serial.seconds,
-             pair.serial.events_per_sec() / 1e6);
-  bench::row("pool x%-9u %12llu events  %8.3f s  %7.2f Meps", pair.workers,
-             (unsigned long long)pair.parallel.events, pair.parallel.seconds,
-             pair.parallel.events_per_sec() / 1e6);
-  bench::row("fingerprint %016llx (serial == x%u), speedup %.2fx on %u hw "
-             "threads; %llu cross-site mails, %llu windows (%llu skipped "
-             "idle)",
-             (unsigned long long)pair.serial.fingerprint, pair.workers,
-             pair.speedup(), hw,
-             (unsigned long long)pair.parallel.mail_delivered,
-             (unsigned long long)pair.parallel.windows_run,
-             (unsigned long long)pair.parallel.idle_windows_skipped);
-  if (!json_path.empty()) {
-    bench::write_json_section(
-        json_path, "perf_e2_sharded" + suffix,
-        {{"shards", static_cast<double>(shards)},
-         {"workers", static_cast<double>(pair.workers)},
-         {"hw_threads", static_cast<double>(hw)},
-         {"events", static_cast<double>(pair.parallel.events)},
-         {"serial_meps", pair.serial.events_per_sec() / 1e6},
-         {"parallel_meps", pair.parallel.events_per_sec() / 1e6},
-         {"speedup", pair.speedup()}});
-  }
+  bench::report_partitioned_pair(
+      pair, shards,
+      "; " + std::to_string(pair.parallel.mail_delivered) +
+          " cross-site mails, " + std::to_string(pair.parallel.windows_run) +
+          " windows (" +
+          std::to_string(pair.parallel.idle_windows_skipped) +
+          " skipped idle)",
+      "perf_e2_sharded", report);
 }
 
 }  // namespace
@@ -71,8 +53,7 @@ int main(int argc, char** argv) {
   std::uint32_t shards = 4;
   unsigned workers = 0;  // 0 = min(shards, hw threads)
   bool partitioned_only = false;
-  std::string json_path = "BENCH_perf.json";
-  std::string suffix;
+  bench::JsonReport report(argc, argv);
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--shards" && i + 1 < argc) {
@@ -82,15 +63,14 @@ int main(int argc, char** argv) {
       workers = static_cast<unsigned>(std::atoi(argv[i + 1]));
     }
     if (flag == "--partitioned-only") partitioned_only = true;
-    if (flag == "--json" && i + 1 < argc) json_path = argv[i + 1];
-    if (flag == "--section-suffix" && i + 1 < argc) suffix = argv[i + 1];
   }
   bench::headline(
       "E2: facility storage fill & backbone load (slide 7)",
       "2 PB online in 2 systems (0.5 PB DDN + 1.4 PB IBM), 10 GE "
       "backbone, tape backend");
   if (partitioned_only) {
-    run_partitioned_section(shards, workers, json_path, suffix);
+    run_partitioned_section(shards, workers, report);
+    report.write();
     bench::obs_dump(obs_options);
     return 0;
   }
@@ -223,7 +203,8 @@ int main(int argc, char** argv) {
   bench::compare("9-month fill (vs 0.55 PB expected at 2.1 TB/day)", 0.55,
                  final_pool_pb, "PB");
 
-  run_partitioned_section(shards, workers, json_path, suffix);
+  run_partitioned_section(shards, workers, report);
+  report.write();
 
   bench::metrics_digest();
   bench::obs_dump(obs_options);

@@ -131,13 +131,6 @@ int main() {
     bench::row("%-28s %.1f ms (hit rate %.0f%%)", "warm mean block read",
                warm.mean() * 1e3, 100.0 * hit_rate);
     bench::compare("warm vs cold block read", 5.0, speedup, "x");
-    bench::write_json_section(
-        "BENCH_cache.json", "e8_dfs_block_cache",
-        {{"cold_mean_read_ms", cold.mean() * 1e3},
-         {"warm_mean_read_ms", warm.mean() * 1e3},
-         {"speedup", speedup},
-         {"warm_hit_rate", hit_rate},
-         {"blocks", static_cast<double>(blocks.size())}});
   }
 
   bench::section("DNA k-mer counting, real execution (calibration)");

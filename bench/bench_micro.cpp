@@ -4,8 +4,6 @@
 // subsystems, directly bounds what the library can do for a user.
 #include <benchmark/benchmark.h>
 
-#include <functional>
-
 #include <string>
 #include <vector>
 
@@ -197,33 +195,7 @@ BENCHMARK(BM_JobTrackerStragglerJob)
     ->Arg(16000)
     ->Unit(benchmark::kMillisecond);
 
-// --- Simulation-kernel throughput (events/s drives every experiment) ---------
-
-void BM_SimulatorEventThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    std::int64_t fired = 0;
-    // A self-rescheduling chain of 10k events.
-    std::function<void()> tick = [&] {
-      if (++fired < 10000) sim.schedule_after(1_ms, tick);
-    };
-    sim.schedule_after(1_ms, tick);
-    sim.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(10000 * state.iterations());
-}
-BENCHMARK(BM_SimulatorEventThroughput);
-
-void BM_SimulatorScheduleCancel(benchmark::State& state) {
-  sim::Simulator sim;
-  for (auto _ : state) {
-    const auto id = sim.schedule_after(1_h, [] {});
-    benchmark::DoNotOptimize(sim.cancel(id));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimulatorScheduleCancel);
+// --- Network transfer engine -------------------------------------------------
 
 void BM_TransferEngineReallocation(benchmark::State& state) {
   // Cost of one allocation round with N concurrent flows on one link —

@@ -1,18 +1,17 @@
-// PERF: event-kernel throughput trajectory (BENCH_perf.json).
+// PERF: event-kernel throughput.
 //
 // Every experiment binary in this repo is "push millions of events through
 // sim::Simulator and read the clock", so kernel events/sec is the
 // denominator of every reproduced figure. This harness measures the three
 // hot shapes — pure dispatch, schedule+cancel churn, and a mixed facility
-// workload (transfers + resources + periodic ticks) — in wall time, and
-// appends the results to BENCH_perf.json so the perf trajectory is
-// versioned alongside the paper-figure reports.
+// workload (transfers + resources + periodic ticks) — plus the sharded
+// kernel's serial-vs-pooled dispatch, in wall time. The numbers are
+// tabled, with their hardware, in EXPERIMENTS.md.
 //
 // Flags:
 //   --quick               CI-sized run (~1s total)
-//   --json <path>         report file (default BENCH_perf.json)
-//   --section-suffix <s>  appended to section names (used to record the
-//                         pre-rewrite kernel as *_seed_kernel)
+//   --json <path>         write the run's sections and its host to <path>
+//                         (nothing is written without it)
 //   --floor <file>        key=value file with dispatch_min_meps; exits
 //                         non-zero if measured dispatch throughput drops
 //                         more than 30% below that floor (CI perf-smoke)
@@ -254,8 +253,7 @@ ShardedOutcome sharded_dispatch_bench(std::uint32_t shards,
 // Serial-vs-pooled pair; REQUIREs worker-count-invariant fingerprints (the
 // acceptance property, enforced on every bench and TSan-smoke run).
 void run_sharded_dispatch(std::uint64_t events_per_shard,
-                          const std::string& json_path,
-                          const std::string& suffix) {
+                          lsdf::bench::JsonReport& json) {
   constexpr std::uint32_t kShards = 4;
   const unsigned hw = lsdf::exec::ThreadPool::default_thread_count();
   const unsigned workers = std::min<unsigned>(kShards, hw);
@@ -287,18 +285,16 @@ void run_sharded_dispatch(std::uint64_t events_per_shard,
                      static_cast<unsigned long long>(serial.fingerprint),
                      workers, speedup, hw);
   }
-  if (!json_path.empty()) {
-    lsdf::bench::write_json_section(
-        json_path, "perf_sharded_dispatch" + suffix,
-        {{"shards", static_cast<double>(kShards)},
-         {"workers", static_cast<double>(workers)},
-         {"hw_threads", static_cast<double>(hw)},
-         {"events", parallel.throughput.events},
-         {"serial_events_per_sec", serial.throughput.events_per_sec()},
-         {"parallel_events_per_sec", parallel.throughput.events_per_sec()},
-         {"speedup", speedup},
-         {"speedup_expected", workers > 1 ? 1.0 : 0.0}});
-  }
+  json.add("perf_sharded_dispatch",
+           {{"shards", static_cast<double>(kShards)},
+            {"workers", static_cast<double>(workers)},
+            {"hw_threads", static_cast<double>(hw)},
+            {"events", parallel.throughput.events},
+            {"serial_events_per_sec", serial.throughput.events_per_sec()},
+            {"parallel_events_per_sec",
+             parallel.throughput.events_per_sec()},
+            {"speedup", speedup},
+            {"speedup_expected", workers > 1 ? 1.0 : 0.0}});
 }
 
 double parse_floor(const std::string& path) {
@@ -321,15 +317,12 @@ int main(int argc, char** argv) {
   const auto obs = lsdf::bench::obs_init(argc, argv);
   bool quick = false;
   bool sharded_smoke = false;
-  std::string json_path = "BENCH_perf.json";
-  std::string suffix;
+  lsdf::bench::JsonReport json(argc, argv);
   std::string floor_path;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--quick") quick = true;
     if (flag == "--sharded-smoke") sharded_smoke = true;
-    if (flag == "--json" && i + 1 < argc) json_path = argv[i + 1];
-    if (flag == "--section-suffix" && i + 1 < argc) suffix = argv[i + 1];
     if (flag == "--floor" && i + 1 < argc) floor_path = argv[i + 1];
   }
 
@@ -340,7 +333,7 @@ int main(int argc, char** argv) {
     lsdf::bench::headline("PERF — sharded kernel smoke (determinism + races)",
                           "serial vs pooled fingerprints must match");
     lsdf::bench::section("sharded smoke");
-    run_sharded_dispatch(200'000, "", suffix);
+    run_sharded_dispatch(200'000, json);
     return 0;
   }
 
@@ -367,7 +360,7 @@ int main(int argc, char** argv) {
   report("schedule+cancel", churn);
   const Throughput mixed = mixed_facility_bench(waves, 64);
   report("mixed facility", mixed);
-  run_sharded_dispatch(quick ? 1'000'000 : 4'000'000, json_path, suffix);
+  run_sharded_dispatch(quick ? 1'000'000 : 4'000'000, json);
 
   const auto heap_callbacks =
       lsdf::obs::MetricsRegistry::global().counter_value(
@@ -376,22 +369,21 @@ int main(int argc, char** argv) {
                    "stay inline)",
                    static_cast<long long>(heap_callbacks));
 
-  lsdf::bench::write_json_section(
-      json_path, "perf_dispatch" + suffix,
-      {{"events", dispatch.events},
-       {"events_per_sec", dispatch.events_per_sec()},
-       {"ns_per_event", dispatch.ns_per_event()},
-       {"callback_heap_total", static_cast<double>(dispatch_heap_callbacks)}});
-  lsdf::bench::write_json_section(
-      json_path, "perf_schedule_cancel" + suffix,
-      {{"ops", churn.events},
-       {"ops_per_sec", churn.events_per_sec()},
-       {"ns_per_op", churn.ns_per_event()}});
-  lsdf::bench::write_json_section(
-      json_path, "perf_mixed_facility" + suffix,
-      {{"events", mixed.events},
-       {"events_per_sec", mixed.events_per_sec()},
-       {"ns_per_event", mixed.ns_per_event()}});
+  json.add("perf_dispatch",
+           {{"events", dispatch.events},
+            {"events_per_sec", dispatch.events_per_sec()},
+            {"ns_per_event", dispatch.ns_per_event()},
+            {"callback_heap_total",
+             static_cast<double>(dispatch_heap_callbacks)}});
+  json.add("perf_schedule_cancel",
+           {{"ops", churn.events},
+            {"ops_per_sec", churn.events_per_sec()},
+            {"ns_per_op", churn.ns_per_event()}});
+  json.add("perf_mixed_facility",
+           {{"events", mixed.events},
+            {"events_per_sec", mixed.events_per_sec()},
+            {"ns_per_event", mixed.ns_per_event()}});
+  json.write();
   lsdf::bench::obs_dump(obs);
 
   if (!floor_path.empty()) {

@@ -7,9 +7,8 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -51,108 +50,85 @@ inline void compare(const std::string& metric, double paper,
               metric.c_str(), paper, measured, unit.c_str(), ratio);
 }
 
-// --- Machine-readable reports (BENCH_*.json) ---------------------------------
+// --- Run reports (--json <path>) ---------------------------------------------
 //
-// A report file is one flat JSON object of named sections, each a flat
-// object of numeric metrics:
-//   { "a2_hsm_read_cache": { "cold_mean_read_s": 41.2, ... }, ... }
-// write_json_section() replaces (or appends) exactly one section and
-// preserves every other byte-for-byte, so several bench binaries can share
-// one report file (bench_a2 and bench_e8 both feed BENCH_cache.json).
+// bench_perf, E2, E11 and E12 take `--json <path>` and then write one whole
+// file for the run: a `host` object saying where the numbers were measured,
+// then the run's sections, each a flat object of numeric metrics:
+//   { "host": { "hw_threads": 8, "compiler": "gcc 13.2.0", "ndebug": 1 },
+//     "perf_dispatch": { "events": 8000000, ... }, ... }
+// Without the flag nothing is written: a bench run leaves the checkout as
+// it found it.
 
-inline void write_json_section(
-    const std::string& path, const std::string& section_name,
-    const std::vector<std::pair<std::string, double>>& values) {
-  // Parse the existing file just enough to split it into (name, body) at
-  // the top level: sections never nest further than one object deep.
-  std::vector<std::pair<std::string, std::string>> sections;
-  {
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
-    std::size_t at = 0;
-    auto skip_ws = [&] {
-      while (at < text.size() &&
-             (text[at] == ' ' || text[at] == '\n' || text[at] == '\t' ||
-              text[at] == '\r' || text[at] == ',' || text[at] == '{' ||
-              text[at] == '}')) {
-        ++at;
-      }
-    };
-    while (true) {
-      skip_ws();
-      if (at >= text.size() || text[at] != '"') break;
-      const std::size_t name_end = text.find('"', at + 1);
-      if (name_end == std::string::npos) break;
-      const std::string name = text.substr(at + 1, name_end - at - 1);
-      const std::size_t open = text.find('{', name_end);
-      if (open == std::string::npos) break;
-      std::size_t close = open;
-      int depth = 0;
-      do {
-        if (text[close] == '{') ++depth;
-        if (text[close] == '}') --depth;
-        ++close;
-      } while (depth > 0 && close < text.size());
-      sections.emplace_back(name, text.substr(open, close - open));
-      at = close;
+using Metrics = std::vector<std::pair<std::string, double>>;
+
+class JsonReport {
+ public:
+  JsonReport(int argc, char** argv) {
+    for (int i = 1; i + 1 < argc; ++i) {
+      if (std::string(argv[i]) == "--json") path_ = argv[i + 1];
     }
   }
-  // Section names and metric keys come from callers that may embed quotes
-  // or backslashes (e.g. labels pasted into a key); escape them so the
-  // report stays parseable JSON.
-  auto json_escape = [](const std::string& text) {
-    std::string out;
-    out.reserve(text.size());
+
+  void add(std::string name, Metrics metrics) {
+    sections_.emplace_back(std::move(name), std::move(metrics));
+  }
+
+  // Writes the file; a no-op without --json.
+  void write() const {
+    if (path_.empty()) return;
+#if defined(__clang__)
+    const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    const char* compiler = "gcc " __VERSION__;
+#else
+    const char* compiler = "unknown";
+#endif
+#ifdef NDEBUG
+    const int ndebug = 1;
+#else
+    const int ndebug = 0;
+#endif
+    std::string text = "{\n  \"host\": {\n    \"hw_threads\": " +
+                       std::to_string(std::thread::hardware_concurrency()) +
+                       ",\n    \"compiler\": " + quoted(compiler) +
+                       ",\n    \"ndebug\": " + std::to_string(ndebug) +
+                       "\n  }";
+    for (const auto& [name, metrics] : sections_) {
+      text += ",\n  " + quoted(name) + ": {";
+      const char* separator = "\n    ";
+      for (const auto& [key, value] : metrics) {
+        char rendered[64];
+        std::snprintf(rendered, sizeof rendered, "%.10g", value);
+        text += separator + quoted(key) + ": " + rendered;
+        separator = ",\n    ";
+      }
+      text += "\n  }";
+    }
+    text += "\n}\n";
+    const Status written = write_file_atomic(path_, text);
+    if (written.is_ok()) {
+      row("report: wrote %zu section(s) to %s", sections_.size(),
+          path_.c_str());
+    } else {
+      row("report: FAILED to write %s: %s", path_.c_str(),
+          written.message().c_str());
+    }
+  }
+
+ private:
+  static std::string quoted(const std::string& text) {
+    std::string out = "\"";
     for (const char c : text) {
-      switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default: out += c;
-      }
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
     }
-    return out;
-  };
-  std::string body = "{";
-  const char* separator = "\n    ";
-  for (const auto& [key, value] : values) {
-    char rendered[64];
-    std::snprintf(rendered, sizeof rendered, "%.10g", value);
-    body += separator;
-    body += "\"" + json_escape(key) + "\": " + rendered;
-    separator = ",\n    ";
+    return out + "\"";
   }
-  body += "\n  }";
-  bool replaced = false;
-  for (auto& [name, existing] : sections) {
-    if (name == section_name) {
-      existing = body;
-      replaced = true;
-    }
-  }
-  if (!replaced) sections.emplace_back(section_name, body);
 
-  std::string text = "{\n";
-  for (std::size_t i = 0; i < sections.size(); ++i) {
-    text += "  \"" + json_escape(sections[i].first) +
-            "\": " + sections[i].second +
-            (i + 1 < sections.size() ? ",\n" : "\n");
-  }
-  text += "}\n";
-  // Atomic replace: a reader (or a crashed run) never sees a half-written
-  // report shared by several bench binaries.
-  const Status written = write_file_atomic(path, text);
-  if (written.is_ok()) {
-    row("report: wrote section `%s` to %s", section_name.c_str(),
-        path.c_str());
-  } else {
-    row("report: FAILED to write %s: %s", path.c_str(),
-        written.message().c_str());
-  }
-}
+  std::string path_;
+  std::vector<std::pair<std::string, Metrics>> sections_;
+};
 
 // --- Observability hooks (lsdf::obs) -----------------------------------------
 //

@@ -15,7 +15,7 @@
 // wall time, events, and the merged fingerprint; callers run it twice
 // (serial oracle, then pooled) and LSDF_REQUIRE the fingerprints byte-equal
 // — the worker-count-invariance contract (DESIGN.md §5c) checked on every
-// bench run.
+// bench run — and print the pair with report_partitioned_pair().
 #pragma once
 
 #include <chrono>
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/require.h"
 #include "common/units.h"
 #include "exec/thread_pool.h"
@@ -280,6 +281,34 @@ inline PartitionedPair run_partitioned_pair(const PartitionedSpec& spec,
   LSDF_REQUIRE(pair.serial.events == pair.parallel.events,
                "partitioned run event counts diverged");
   return pair;
+}
+
+// The rows E2 and E11 print under their own first row — serial oracle,
+// pool, and fingerprint with speedup (then `fingerprint_tail`) — plus the
+// `name` report section.
+inline void report_partitioned_pair(const PartitionedPair& pair,
+                                    std::uint32_t sites,
+                                    const std::string& fingerprint_tail,
+                                    const std::string& name,
+                                    JsonReport& report) {
+  const unsigned hw = exec::ThreadPool::default_thread_count();
+  row("serial oracle   %12llu events  %8.3f s  %7.2f Meps",
+      (unsigned long long)pair.serial.events, pair.serial.seconds,
+      pair.serial.events_per_sec() / 1e6);
+  row("pool x%-9u %12llu events  %8.3f s  %7.2f Meps", pair.workers,
+      (unsigned long long)pair.parallel.events, pair.parallel.seconds,
+      pair.parallel.events_per_sec() / 1e6);
+  row("fingerprint %016llx (serial == x%u), speedup %.2fx on %u hw "
+      "threads%s",
+      (unsigned long long)pair.serial.fingerprint, pair.workers,
+      pair.speedup(), hw, fingerprint_tail.c_str());
+  report.add(name, {{"shards", static_cast<double>(sites)},
+                    {"workers", static_cast<double>(pair.workers)},
+                    {"hw_threads", static_cast<double>(hw)},
+                    {"events", static_cast<double>(pair.parallel.events)},
+                    {"serial_meps", pair.serial.events_per_sec() / 1e6},
+                    {"parallel_meps", pair.parallel.events_per_sec() / 1e6},
+                    {"speedup", pair.speedup()}});
 }
 
 }  // namespace lsdf::bench

@@ -149,15 +149,7 @@ storage::IoCallback Adal::timed(const char* op, const std::string& tenant,
 }
 
 void Adal::fail(storage::IoCallback done, Status status) const {
-  const SimTime now = simulator_.now();
-  simulator_.schedule_after(
-      SimDuration::zero(),
-      [this, done = std::move(done), status = std::move(status), now] {
-        if (done) {
-          done(storage::IoResult{status, now, simulator_.now(),
-                                 Bytes::zero()});
-        }
-      });
+  storage::complete_deferred(simulator_, std::move(done), std::move(status));
 }
 
 void Adal::write(const Credentials& who, const std::string& uri, Bytes size,

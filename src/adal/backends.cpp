@@ -4,59 +4,40 @@ namespace lsdf::adal {
 
 // --- PoolBackend ------------------------------------------------------------
 
-void PoolBackend::fail(storage::IoCallback done, Status status) const {
-  const SimTime now = simulator_.now();
-  simulator_.schedule_after(
-      SimDuration::zero(),
-      [this, done = std::move(done), status = std::move(status), now] {
-        if (done) {
-          done(storage::IoResult{status, now, simulator_.now(),
-                                 Bytes::zero()});
-        }
-      });
-}
-
 void PoolBackend::write(const std::string& path, Bytes size,
                         storage::IoCallback done) {
   const auto array = pool_.place_object(path, size);
   if (!array.is_ok()) {
-    fail(std::move(done), array.status());
+    storage::complete_deferred(simulator_, std::move(done), array.status());
     return;
   }
-  sizes_[path] = size;
   array.value()->write(size, std::move(done));
 }
 
 void PoolBackend::read(const std::string& path, storage::IoCallback done) {
-  const auto array = pool_.locate(path);
-  if (!array.is_ok()) {
-    fail(std::move(done), array.status());
+  const auto placed = pool_.locate(path);
+  if (!placed.is_ok()) {
+    storage::complete_deferred(simulator_, std::move(done), placed.status());
     return;
   }
-  array.value()->read(sizes_.at(path), std::move(done));
+  placed.value().array->read(placed.value().size, std::move(done));
 }
 
 Status PoolBackend::remove(const std::string& path) {
-  LSDF_RETURN_IF_ERROR(pool_.remove_object(path));
-  sizes_.erase(path);
-  return Status::ok();
+  return pool_.remove_object(path);
 }
 
 bool PoolBackend::contains(const std::string& path) const {
-  return sizes_.contains(path);
+  return pool_.locate(path).is_ok();
 }
 
 Result<Bytes> PoolBackend::size_of(const std::string& path) const {
-  const auto it = sizes_.find(path);
-  if (it == sizes_.end()) return not_found(path);
-  return it->second;
+  LSDF_ASSIGN_OR_RETURN(const auto placed, pool_.locate(path));
+  return placed.size;
 }
 
 std::vector<std::string> PoolBackend::list() const {
-  std::vector<std::string> names;
-  names.reserve(sizes_.size());
-  for (const auto& [name, size] : sizes_) names.push_back(name);
-  return names;
+  return pool_.object_names();
 }
 
 // --- DfsBackend -------------------------------------------------------------
@@ -76,14 +57,7 @@ void DfsBackend::read(const std::string& path, storage::IoCallback done) {
   const SimTime started = simulator_.now();
   const auto info = dfs_.stat(path);
   if (!info.is_ok()) {
-    simulator_.schedule_after(
-        SimDuration::zero(),
-        [this, status = info.status(), started, done = std::move(done)] {
-          if (done) {
-            done(storage::IoResult{status, started, simulator_.now(),
-                                   Bytes::zero()});
-          }
-        });
+    storage::complete_deferred(simulator_, std::move(done), info.status());
     return;
   }
   // Stream the file block by block to the access node, as a DFS client
@@ -129,40 +103,31 @@ Result<Bytes> DfsBackend::size_of(const std::string& path) const {
 
 // --- MemBackend -------------------------------------------------------------
 
-void MemBackend::respond(storage::IoCallback done, Status status,
-                         Bytes size) const {
-  const SimTime now = simulator_.now();
-  simulator_.schedule_after(
-      SimDuration::zero(),
-      [this, done = std::move(done), status = std::move(status), size, now] {
-        if (done) {
-          done(storage::IoResult{status, now, simulator_.now(), size});
-        }
-      });
-}
-
 void MemBackend::write(const std::string& path, Bytes size,
                        storage::IoCallback done) {
   if (objects_.contains(path)) {
-    respond(std::move(done), already_exists(path), size);
+    storage::complete_deferred(simulator_, std::move(done),
+                               already_exists(path), size);
     return;
   }
   if (used_ + size > capacity_) {
-    respond(std::move(done), resource_exhausted(name_ + " is full"), size);
+    storage::complete_deferred(simulator_, std::move(done),
+                               resource_exhausted(name_ + " is full"), size);
     return;
   }
   used_ += size;
   objects_.emplace(path, size);
-  respond(std::move(done), Status::ok(), size);
+  storage::complete_deferred(simulator_, std::move(done), Status::ok(), size);
 }
 
 void MemBackend::read(const std::string& path, storage::IoCallback done) {
   const auto it = objects_.find(path);
   if (it == objects_.end()) {
-    respond(std::move(done), not_found(path), Bytes::zero());
+    storage::complete_deferred(simulator_, std::move(done), not_found(path));
     return;
   }
-  respond(std::move(done), Status::ok(), it->second);
+  storage::complete_deferred(simulator_, std::move(done), Status::ok(),
+                             it->second);
 }
 
 Status MemBackend::remove(const std::string& path) {

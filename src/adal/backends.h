@@ -32,12 +32,9 @@ class PoolBackend final : public Backend {
   [[nodiscard]] std::vector<std::string> list() const override;
 
  private:
-  void fail(storage::IoCallback done, Status status) const;
-
   std::string name_;
   sim::Simulator& simulator_;
   storage::StoragePool& pool_;
-  std::map<std::string, Bytes> sizes_;
 };
 
 // Archive: HSM over disk cache + tape.
@@ -128,8 +125,6 @@ class MemBackend final : public Backend {
   [[nodiscard]] Bytes used() const { return used_; }
 
  private:
-  void respond(storage::IoCallback done, Status status, Bytes size) const;
-
   std::string name_;
   sim::Simulator& simulator_;
   Bytes capacity_;

@@ -102,15 +102,7 @@ RunningStats DataBrowser::numeric_summary(
 void DataBrowser::download(meta::DatasetId id, storage::IoCallback done) {
   const auto record = store_.get(id);
   if (!record.is_ok()) {
-    const SimTime now = simulator_.now();
-    simulator_.schedule_after(
-        SimDuration::zero(),
-        [this, status = record.status(), now, done = std::move(done)] {
-          if (done) {
-            done(storage::IoResult{status, now, simulator_.now(),
-                                   Bytes::zero()});
-          }
-        });
+    storage::complete_deferred(simulator_, std::move(done), record.status());
     return;
   }
   store_.note_access(id);

@@ -2,6 +2,17 @@
 
 namespace lsdf::storage {
 
+void complete_deferred(sim::Simulator& simulator, IoCallback done,
+                       Status status, Bytes size) {
+  const SimTime now = simulator.now();
+  simulator.schedule_after(
+      SimDuration::zero(),
+      [&simulator, done = std::move(done), status = std::move(status), size,
+       now] {
+        if (done) done(IoResult{status, now, simulator.now(), size});
+      });
+}
+
 DiskArray::DiskArray(sim::Simulator& simulator, DiskArrayConfig config)
     : simulator_(simulator),
       config_(std::move(config)),

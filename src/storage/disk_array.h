@@ -34,6 +34,12 @@ struct IoResult {
 
 using IoCallback = std::function<void(const IoResult&)>;
 
+// Delivers `status` to `done` from a zero-delay event, `started` at the
+// call: how a store answers a request it settles without moving data, so
+// the callback never runs inside the caller's own call.
+void complete_deferred(sim::Simulator& simulator, IoCallback done,
+                       Status status, Bytes size = Bytes::zero());
+
 class DiskArray {
  public:
   DiskArray(sim::Simulator& simulator, DiskArrayConfig config);

@@ -46,18 +46,10 @@ void HsmStore::start() {
 
 void HsmStore::stop() { scanner_.stop(); }
 
-void HsmStore::fail(IoCallback done, Status status, Bytes size) {
-  const SimTime now = simulator_.now();
-  simulator_.schedule_after(
-      SimDuration::zero(),
-      [this, done = std::move(done), status = std::move(status), size, now] {
-        if (done) done(IoResult{status, now, simulator_.now(), size});
-      });
-}
-
 void HsmStore::put(const std::string& object, Bytes size, IoCallback done) {
   if (objects_.contains(object)) {
-    fail(std::move(done), already_exists(object), size);
+    complete_deferred(simulator_, std::move(done), already_exists(object),
+                      size);
     return;
   }
   // Make room below the high watermark if a simple eviction pass can.
@@ -67,7 +59,7 @@ void HsmStore::put(const std::string& object, Bytes size, IoCallback done) {
   }
   const Status reserved = cache_.reserve(size);
   if (!reserved.is_ok()) {
-    fail(std::move(done), reserved, size);
+    complete_deferred(simulator_, std::move(done), reserved, size);
     return;
   }
   Entry entry;
@@ -81,7 +73,7 @@ void HsmStore::put(const std::string& object, Bytes size, IoCallback done) {
 void HsmStore::get(const std::string& object, IoCallback done) {
   const auto it = objects_.find(object);
   if (it == objects_.end()) {
-    fail(std::move(done), not_found(object), Bytes::zero());
+    complete_deferred(simulator_, std::move(done), not_found(object));
     return;
   }
   it->second.last_access = simulator_.now();
@@ -98,7 +90,7 @@ void HsmStore::get(const std::string& object, IoCallback done) {
 void HsmStore::get_from_tiers(const std::string& object, IoCallback done) {
   const auto it = objects_.find(object);
   if (it == objects_.end()) {
-    fail(std::move(done), not_found(object), Bytes::zero());
+    complete_deferred(simulator_, std::move(done), not_found(object));
     return;
   }
   if (it->second.disk_resident) {

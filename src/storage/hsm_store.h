@@ -115,7 +115,6 @@ class HsmStore {
   // backing read, and the whole of get() when the cache is disabled.
   void get_from_tiers(const std::string& object, IoCallback done);
   void stage_then_read(const std::string& object, IoCallback done);
-  void fail(IoCallback done, Status status, Bytes size);
 
   sim::Simulator& simulator_;
   DiskArray& cache_;

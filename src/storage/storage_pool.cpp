@@ -55,10 +55,11 @@ Result<DiskArray*> StoragePool::place_object(const std::string& name,
   return array;
 }
 
-Result<DiskArray*> StoragePool::locate(const std::string& name) const {
+Result<StoragePool::PlacedObject> StoragePool::locate(
+    const std::string& name) const {
   const auto it = objects_.find(name);
   if (it == objects_.end()) return not_found(name);
-  return it->second.array;
+  return it->second;
 }
 
 Status StoragePool::remove_object(const std::string& name) {
@@ -67,6 +68,13 @@ Status StoragePool::remove_object(const std::string& name) {
   it->second.array->release(it->second.size);
   objects_.erase(it);
   return Status::ok();
+}
+
+std::vector<std::string> StoragePool::object_names() const {
+  std::vector<std::string> names;
+  names.reserve(objects_.size());
+  for (const auto& [name, object] : objects_) names.push_back(name);
+  return names;
 }
 
 Bytes StoragePool::capacity() const {

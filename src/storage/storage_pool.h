@@ -24,6 +24,11 @@ enum class PlacementPolicy {
 
 class StoragePool {
  public:
+  struct PlacedObject {
+    DiskArray* array = nullptr;
+    Bytes size;
+  };
+
   explicit StoragePool(PlacementPolicy policy) : policy_(policy) {}
 
   // The pool references, not owns, its arrays; the Facility owns hardware.
@@ -36,8 +41,10 @@ class StoragePool {
   // Track a named object (placement + accounting in one step).
   [[nodiscard]] Result<DiskArray*> place_object(const std::string& name,
                                                 Bytes size);
-  [[nodiscard]] Result<DiskArray*> locate(const std::string& name) const;
+  [[nodiscard]] Result<PlacedObject> locate(const std::string& name) const;
   [[nodiscard]] Status remove_object(const std::string& name);
+  // Every placed object's name, in name order.
+  [[nodiscard]] std::vector<std::string> object_names() const;
 
   [[nodiscard]] Bytes capacity() const;
   [[nodiscard]] Bytes used() const;
@@ -49,11 +56,6 @@ class StoragePool {
   [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
 
  private:
-  struct PlacedObject {
-    DiskArray* array = nullptr;
-    Bytes size;
-  };
-
   PlacementPolicy policy_;
   std::vector<DiskArray*> arrays_;
   std::map<std::string, PlacedObject> objects_;

@@ -7,6 +7,7 @@
 #include "adal/adal.h"
 #include "adal/backends.h"
 #include "sim/simulator.h"
+#include "storage/storage_pool.h"
 
 namespace lsdf::adal {
 namespace {
@@ -356,6 +357,77 @@ TEST(MemBackend, DuplicateWriteRejected) {
   backend.write("a", 1_GB, [&](const storage::IoResult& r) { result = r; });
   sim.run();
   EXPECT_EQ(result->status.code(), StatusCode::kAlreadyExists);
+}
+
+// --- PoolBackend ---------------------------------------------------------------------
+
+// Two disk arrays behind one pool, fronted by the backend under test.
+struct PoolRig {
+  PoolRig()
+      : ddn(sim, {.name = "ddn", .capacity = 10_TB}),
+        ibm(sim, {.name = "ibm", .capacity = 10_TB}),
+        pool(storage::PlacementPolicy::kRoundRobin),
+        backend("pool", sim, pool) {
+    pool.add_array(ddn);
+    pool.add_array(ibm);
+  }
+  sim::Simulator sim;
+  storage::DiskArray ddn;
+  storage::DiskArray ibm;
+  storage::StoragePool pool;
+  PoolBackend backend;
+};
+
+TEST(PoolBackend, WriteReadThenSizeAndListAfterRemove) {
+  PoolRig rig;
+  std::optional<storage::IoResult> written;
+  rig.backend.write("a", 1_GB, nullptr);
+  rig.backend.write("b", 2_GB,
+                    [&](const storage::IoResult& r) { written = r; });
+  rig.sim.run();
+  ASSERT_TRUE(written.has_value());
+  EXPECT_TRUE(written->status.is_ok());
+
+  std::optional<storage::IoResult> read;
+  rig.backend.read("b", [&](const storage::IoResult& r) { read = r; });
+  rig.sim.run();
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->status.is_ok());
+  EXPECT_EQ(read->size, 2_GB);  // the size recorded at write time
+  EXPECT_GT(read->duration(), SimDuration::zero());
+
+  EXPECT_TRUE(rig.backend.remove("a").is_ok());
+  EXPECT_FALSE(rig.backend.contains("a"));
+  EXPECT_EQ(rig.backend.size_of("a").status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(rig.backend.contains("b"));
+  EXPECT_EQ(rig.backend.size_of("b").value(), 2_GB);
+  EXPECT_EQ(rig.backend.list(), std::vector<std::string>{"b"});
+  EXPECT_EQ(rig.pool.used(), 2_GB);
+  EXPECT_EQ(rig.backend.remove("a").code(), StatusCode::kNotFound);
+}
+
+TEST(PoolBackend, FailuresArriveThroughTheCallback) {
+  PoolRig rig;
+  rig.backend.write("a", 1_GB, nullptr);
+  rig.sim.run();
+
+  std::optional<storage::IoResult> duplicate;
+  rig.backend.write("a", 1_GB,
+                    [&](const storage::IoResult& r) { duplicate = r; });
+  std::optional<storage::IoResult> missing;
+  rig.backend.read("nope", [&](const storage::IoResult& r) { missing = r; });
+  EXPECT_FALSE(duplicate.has_value());  // never inside the caller's call
+  EXPECT_FALSE(missing.has_value());
+  const SimTime asked = rig.sim.now();
+  rig.sim.run();
+  ASSERT_TRUE(duplicate.has_value());
+  EXPECT_EQ(duplicate->status.code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(missing.has_value());
+  EXPECT_EQ(missing->status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(missing->started, asked);
+  EXPECT_EQ(missing->finished, asked);
+  EXPECT_EQ(missing->size, 0_B);
+  EXPECT_EQ(rig.backend.list(), std::vector<std::string>{"a"});
 }
 
 }  // namespace
