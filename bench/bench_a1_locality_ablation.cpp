@@ -61,7 +61,8 @@ AblationPoint run_once(int racks, int nodes_per_rack, Bytes input,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::Flags flags(argc, argv, {});
   bench::headline("A1: locality-aware vs random task placement (ablation)",
                   "Hadoop's rack-aware scheduling is what keeps the "
                   "cluster's network out of the critical path");

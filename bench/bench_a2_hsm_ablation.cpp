@@ -199,7 +199,8 @@ CacheAblation run_cache_trace(bool cached, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
+  const bench::Flags flags(argc, argv, bench::obs_flags());
+  const bench::ObsOptions obs_options = bench::obs_init(flags);
   bench::headline("A2: HSM staging policy & tape-drive count (ablation)",
                   "archive tier behaviour behind slide 7's tape backend");
 

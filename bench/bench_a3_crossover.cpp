@@ -64,7 +64,8 @@ double export_seconds(Bytes input, double wan_gbps) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::Flags flags(argc, argv, {});
   bench::headline("A3: compute-to-data vs data-to-compute crossover "
                   "(ablation of the slide-11 thesis)",
                   "transfer time dwarfs processing time once datasets pass "

@@ -135,7 +135,8 @@ void run_tenant_latency() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::ObsOptions obs = bench::obs_init(argc, argv);
+  const bench::Flags flags(argc, argv, bench::obs_flags());
+  const bench::ObsOptions obs = bench::obs_init(flags);
   bench::headline("A4: multi-tenant slot scheduling (ablation)",
                   "large virtual communities share one cluster; a batch "
                   "job must not starve interactive analysis");

@@ -254,7 +254,8 @@ void run_tape_scenario(const Properties& plan, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
+  const bench::Flags flags(argc, argv, bench::obs_flags());
+  const bench::ObsOptions obs_options = bench::obs_init(flags);
   bench::headline("A5: failover — redundant routers, WAN flaps and tape "
                   "faults under the deterministic injector",
                   "the LSDF backbone has redundant routers so transfers "

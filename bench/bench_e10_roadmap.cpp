@@ -26,7 +26,8 @@ struct CommunityPlan {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::Flags flags(argc, argv, {});
   bench::headline("E10: capacity roadmap 2011-2014 (slide 14)",
                   "6 PB in 2012; KATRIN, climate (archival), geophysics "
                   "and ANKA joining");

@@ -149,16 +149,14 @@ void run_partitioned_section(unsigned workers, bench::JsonReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned workers = 0;  // 0 = min(2, hw threads)
-  bool partitioned_only = false;
-  bench::JsonReport report(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--workers" && i + 1 < argc) {
-      workers = static_cast<unsigned>(std::atoi(argv[i + 1]));
-    }
-    if (flag == "--partitioned-only") partitioned_only = true;
-  }
+  const bench::Flags flags(
+      argc, argv,
+      {{"--workers", true}, {"--partitioned-only"}, {"--json", true}});
+  // 0 = min(2, hw threads)
+  const auto workers =
+      static_cast<unsigned>(std::atoi(flags.value("--workers").c_str()));
+  const bool partitioned_only = flags.has("--partitioned-only");
+  bench::JsonReport report(flags);
   bench::headline("E11: cross-site mirroring to Heidelberg (slides 6/7)",
                   "tight cooperation with BioQuant over the dedicated WAN "
                   "link");

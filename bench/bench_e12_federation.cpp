@@ -206,11 +206,10 @@ ScenarioResult run_scenario(const Properties& scenario, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") smoke = true;
-  }
+  const bench::Flags flags(
+      argc, argv, bench::obs_flags({{"--smoke"}, {"--json", true}}));
+  const bench::ObsOptions obs_options = bench::obs_init(flags);
+  const bool smoke = flags.has("--smoke");
 
   bench::headline(
       "E12: replica rules & federation (DESIGN.md §4i)",
@@ -274,7 +273,7 @@ int main(int argc, char** argv) {
   bench::compare("replay deterministic", 1.0,
                  replay.deterministic() ? 1.0 : 0.0, "bool");
 
-  bench::JsonReport report(argc, argv);
+  bench::JsonReport report(flags);
   report.add(
       smoke ? "e12_federation_smoke" : "e12_federation",
       {

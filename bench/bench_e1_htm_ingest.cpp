@@ -57,7 +57,8 @@ DayResult run_day(double parameter_multiplier, double hours, bool tracing) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
+  const bench::Flags flags(argc, argv, bench::obs_flags());
+  const bench::ObsOptions obs_options = bench::obs_init(flags);
   bench::headline(
       "E1: high-throughput microscopy ingest (slide 5)",
       "~200k images/day x 4 MB; ~2 TB/day; 1+ PB/yr 2012, 6 PB/yr 2014");

@@ -49,21 +49,22 @@ void run_partitioned_section(std::uint32_t shards, unsigned workers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
-  std::uint32_t shards = 4;
-  unsigned workers = 0;  // 0 = min(shards, hw threads)
-  bool partitioned_only = false;
-  bench::JsonReport report(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::uint32_t>(std::atoi(argv[i + 1]));
-    }
-    if (flag == "--workers" && i + 1 < argc) {
-      workers = static_cast<unsigned>(std::atoi(argv[i + 1]));
-    }
-    if (flag == "--partitioned-only") partitioned_only = true;
-  }
+  const bench::Flags flags(
+      argc, argv,
+      bench::obs_flags({{"--shards", true},
+                        {"--workers", true},
+                        {"--partitioned-only"},
+                        {"--json", true}}));
+  const bench::ObsOptions obs_options = bench::obs_init(flags);
+  const std::uint32_t shards =
+      flags.has("--shards") ? static_cast<std::uint32_t>(
+                                  std::atoi(flags.value("--shards").c_str()))
+                            : 4;
+  // 0 = min(shards, hw threads)
+  const auto workers =
+      static_cast<unsigned>(std::atoi(flags.value("--workers").c_str()));
+  const bool partitioned_only = flags.has("--partitioned-only");
+  bench::JsonReport report(flags);
   bench::headline(
       "E2: facility storage fill & backbone load (slide 7)",
       "2 PB online in 2 systems (0.5 PB DDN + 1.4 PB IBM), 10 GE "

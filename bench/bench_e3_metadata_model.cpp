@@ -56,7 +56,8 @@ meta::MetadataStore build_catalogue(std::int64_t datasets, int branches) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::Flags flags(argc, argv, {});
   bench::headline(
       "E3: project metadata DB & slide-8 processing-branch model",
       "WORM data + basic metadata + N independent processing branches; "

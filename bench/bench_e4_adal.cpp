@@ -30,7 +30,8 @@ std::pair<bool, double> timed_read(core::Facility& facility,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::Flags flags(argc, argv, {});
   bench::headline(
       "E4: ADAL unified access layer (slides 9/10)",
       "one API over every backend; URIs survive storage technology changes");

@@ -15,7 +15,8 @@
 
 using namespace lsdf;
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::Flags flags(argc, argv, {});
   bench::headline("E5: 1 PB over a 10 Gb/s WAN vs computing in place "
                   "(slide 11)",
                   "15 days to transfer 1 PB over an ideal 10 Gb/s link");

@@ -76,7 +76,8 @@ ScalePoint run_at_scale(int racks, int nodes_per_rack, bool tracing) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::ObsOptions obs_options = bench::obs_init(argc, argv);
+  const bench::Flags flags(argc, argv, bench::obs_flags());
+  const bench::ObsOptions obs_options = bench::obs_init(flags);
   bench::headline("E6: Hadoop cluster scaling, 110 TB HDFS (slide 11)",
                   "dedicated 60-node cluster; extreme scalability on "
                   "commodity hardware");

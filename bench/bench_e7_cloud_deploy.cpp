@@ -44,7 +44,8 @@ FleetResult deploy_fleet(core::Facility& facility, int count,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::Flags flags(argc, argv, {});
   bench::headline("E7: cloud VM deployment (slide 11)",
                   "OpenNebula VMs: reliable, highly flexible, very fast to "
                   "deploy");

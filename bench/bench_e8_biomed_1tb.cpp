@@ -20,7 +20,8 @@
 
 using namespace lsdf;
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::Flags flags(argc, argv, {});
   bench::headline("E8: 1 TB biomedical dataset in 20 minutes (slide 13)",
                   "3D visualisation processing of 1 TB in 20 min; DNA "
                   "sequencing with Hadoop tools");

@@ -14,7 +14,8 @@
 
 using namespace lsdf;
 
-int main() {
+int main(int argc, char** argv) {
+  const bench::Flags flags(argc, argv, {});
   bench::headline("E9: tag-triggered workflow automation (slide 12)",
                   "tag via DataBrowser -> workflow runs -> results stored "
                   "and tagged in the DB");

@@ -4,6 +4,7 @@
 // subsystems, directly bounds what the library can do for a user.
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -221,6 +222,45 @@ void BM_TransferEngineReallocation(benchmark::State& state) {
   state.SetItemsProcessed(flows * state.iterations());
 }
 BENCHMARK(BM_TransferEngineReallocation)->Arg(10)->Arg(100);
+
+void BM_TransferEngineChurn(benchmark::State& state) {
+  // federation_day's steady state: 4 shared links with 16 flows each. Every
+  // completion starts a replacement flow on the same link, so one iteration
+  // is one completion plus one start, each followed by a reallocation.
+  sim::Simulator sim;
+  net::Topology topo;
+  const net::NodeId hub = topo.add_node("hub");
+  std::vector<net::NodeId> sites;
+  for (int s = 0; s < 4; ++s) {
+    sites.push_back(topo.add_node("site" + std::to_string(s)));
+    topo.add_duplex_link(hub, sites.back(), Rate::gigabits_per_second(10.0),
+                         1_ms);
+  }
+  net::TransferEngine engine(sim, topo);
+  Rng rng(17);  // staggered sizes, so completions arrive one at a time
+  std::int64_t completed = 0;
+  std::function<void(net::NodeId)> start = [&](net::NodeId site) {
+    const Bytes size(64 * (1 << 20) +
+                     static_cast<std::int64_t>(rng.next_below(64 << 20)));
+    (void)engine.start_transfer(
+        hub, site, size, net::TransferOptions{},
+        [&, site](const net::TransferCompletion&) {
+          ++completed;
+          start(site);
+        });
+  };
+  for (const net::NodeId site : sites) {
+    for (int f = 0; f < 16; ++f) start(site);
+  }
+  sim.run_until(sim.now() + 1_s);  // every flow active, first completions
+  for (auto _ : state) {
+    const std::int64_t before = completed;
+    while (completed == before) sim.step();
+  }
+  benchmark::DoNotOptimize(engine.active_flows());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TransferEngineChurn);
 
 // --- Observability hot path (the instrumented subsystems pay this) -----------
 

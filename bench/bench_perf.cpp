@@ -314,17 +314,17 @@ double parse_floor(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto obs = lsdf::bench::obs_init(argc, argv);
-  bool quick = false;
-  bool sharded_smoke = false;
-  lsdf::bench::JsonReport json(argc, argv);
-  std::string floor_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--quick") quick = true;
-    if (flag == "--sharded-smoke") sharded_smoke = true;
-    if (flag == "--floor" && i + 1 < argc) floor_path = argv[i + 1];
-  }
+  const lsdf::bench::Flags flags(
+      argc, argv,
+      lsdf::bench::obs_flags({{"--quick"},
+                              {"--sharded-smoke"},
+                              {"--floor", true},
+                              {"--json", true}}));
+  const auto obs = lsdf::bench::obs_init(flags);
+  const bool quick = flags.has("--quick");
+  const bool sharded_smoke = flags.has("--sharded-smoke");
+  lsdf::bench::JsonReport json(flags);
+  const std::string floor_path = flags.value("--floor");
 
   if (sharded_smoke) {
     // TSan/CI mode: only the parallel kernel, small, no report file — the

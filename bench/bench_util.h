@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
@@ -50,6 +51,81 @@ inline void compare(const std::string& metric, double paper,
               metric.c_str(), paper, measured, unit.c_str(), ratio);
 }
 
+// --- Command-line flags ------------------------------------------------------
+//
+// Each bench lists the flags it understands. An unknown flag, or a value
+// flag with its value missing, prints usage to stderr and exits 2: a typo
+// must not turn into a default run that writes nothing.
+
+struct FlagSpec {
+  const char* name;
+  bool takes_value = false;
+};
+
+// The observability flags obs_init() reads, plus a bench's own `extra`.
+inline std::vector<FlagSpec> obs_flags(std::vector<FlagSpec> extra = {}) {
+  for (const char* name : {"--trace", "--metrics", "--metrics-csv",
+                           "--flight"}) {
+    extra.push_back({name, true});
+  }
+  return extra;
+}
+
+class Flags {
+ public:
+  Flags(int argc, char** argv, std::vector<FlagSpec> known)
+      : known_(std::move(known)) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help" || arg == "-h") usage_exit(argv[0], "", 0);
+      const auto spec =
+          std::find_if(known_.begin(), known_.end(),
+                       [&arg](const FlagSpec& f) { return arg == f.name; });
+      if (spec == known_.end()) {
+        usage_exit(argv[0], "unknown flag " + arg, 2);
+      }
+      if (!spec->takes_value) {
+        values_.emplace_back(arg, "");
+        continue;
+      }
+      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        usage_exit(argv[0], arg + " needs a value", 2);
+      }
+      values_.emplace_back(arg, argv[++i]);
+    }
+  }
+
+  [[nodiscard]] bool has(const std::string& name) const {
+    return std::any_of(values_.begin(), values_.end(),
+                       [&name](const auto& v) { return v.first == name; });
+  }
+  // The last value given for `name`; empty when the flag is absent.
+  [[nodiscard]] std::string value(const std::string& name) const {
+    std::string found;
+    for (const auto& [flag, value] : values_) {
+      if (flag == name) found = value;
+    }
+    return found;
+  }
+
+ private:
+  [[noreturn]] void usage_exit(const char* program, const std::string& error,
+                               int code) const {
+    std::FILE* out = code == 0 ? stdout : stderr;
+    if (!error.empty()) std::fprintf(out, "%s: %s\n", program, error.c_str());
+    std::fprintf(out, "usage: %s", program);
+    for (const FlagSpec& flag : known_) {
+      std::fprintf(out, " [%s%s]", flag.name,
+                   flag.takes_value ? " <value>" : "");
+    }
+    std::fprintf(out, "\n");
+    std::exit(code);
+  }
+
+  std::vector<FlagSpec> known_;
+  std::vector<std::pair<std::string, std::string>> values_;
+};
+
 // --- Run reports (--json <path>) ---------------------------------------------
 //
 // bench_perf, E2, E11 and E12 take `--json <path>` and then write one whole
@@ -64,11 +140,7 @@ using Metrics = std::vector<std::pair<std::string, double>>;
 
 class JsonReport {
  public:
-  JsonReport(int argc, char** argv) {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::string(argv[i]) == "--json") path_ = argv[i + 1];
-    }
-  }
+  explicit JsonReport(const Flags& flags) : path_(flags.value("--json")) {}
 
   void add(std::string name, Metrics metrics) {
     sections_.emplace_back(std::move(name), std::move(metrics));
@@ -132,12 +204,13 @@ class JsonReport {
 
 // --- Observability hooks (lsdf::obs) -----------------------------------------
 //
-// Every experiment binary accepts:
+// A bench whose flags include obs_flags() accepts:
 //   --trace <file.json>    span timeline (Chrome trace_event; open in
 //                          chrome://tracing or https://ui.perfetto.dev)
 //   --metrics <file>       final metrics registry, Prometheus text format
 //   --metrics-csv <file>   same, as name,labels,field,value CSV
-// Call obs_init(argc, argv) at the top of main and obs_dump(options) at the
+//   --flight <dir>         flight-recorder postmortems and final timeline
+// Call obs_init(flags) at the top of main and obs_dump(options) at the
 // bottom. The tracer stays fully disabled unless --trace is given.
 
 struct ObsOptions {
@@ -149,15 +222,12 @@ struct ObsOptions {
   [[nodiscard]] bool flight() const { return !flight_dir.empty(); }
 };
 
-inline ObsOptions obs_init(int argc, char** argv) {
+inline ObsOptions obs_init(const Flags& flags) {
   ObsOptions options;
-  for (int i = 1; i + 1 < argc; ++i) {
-    const std::string flag = argv[i];
-    if (flag == "--trace") options.trace_path = argv[i + 1];
-    if (flag == "--metrics") options.metrics_path = argv[i + 1];
-    if (flag == "--metrics-csv") options.metrics_csv_path = argv[i + 1];
-    if (flag == "--flight") options.flight_dir = argv[i + 1];
-  }
+  options.trace_path = flags.value("--trace");
+  options.metrics_path = flags.value("--metrics");
+  options.metrics_csv_path = flags.value("--metrics-csv");
+  options.flight_dir = flags.value("--flight");
   if (options.tracing()) obs::Tracer::global().enable(true);
   if (options.flight()) {
     // Postmortems (contract failures, injected faults) land in the given

@@ -267,16 +267,18 @@ void FederationService::resolve_all() {
 }
 
 void FederationService::resolve_dataset(meta::DatasetId dataset) {
-  const auto record = store_.get(dataset);
-  if (!record.is_ok()) return;
+  // Borrowed, not copied: nothing below mutates the store while it is held
+  // (store_.tag runs only from a transfer completion event).
+  const meta::DatasetRecord* record = store_.find(dataset);
+  if (record == nullptr) return;
   obs::Span span(obs::Tracer::global(), "fed.resolve", "fed");
   span.annotate("dataset", std::to_string(dataset));
   ++stats_.resolutions;
   resolutions_metric_.add(1);
   for (const auto& [id, entry] : rules_) {
     if (!entry.active) continue;
-    if (!matches(entry.rule, record.value())) continue;
-    resolve_rule(record.value(), entry);
+    if (!matches(entry.rule, *record)) continue;
+    resolve_rule(*record, entry);
   }
   pump();
 }
@@ -477,12 +479,11 @@ void FederationService::expire_rule(RuleId rule) {
     }
     const StorageClass storage = sites_.at(key.second).config.storage;
     int demand = 0;
-    const auto record = store_.get(key.first);
-    if (record.is_ok()) {
+    if (const meta::DatasetRecord* record = store_.find(key.first)) {
       for (const auto& [id, entry] : rules_) {
         (void)id;
         if (!entry.active || entry.rule.storage != storage) continue;
-        if (!matches(entry.rule, record.value())) continue;
+        if (!matches(entry.rule, *record)) continue;
         demand = std::max(demand, entry.rule.copies);
       }
     }

@@ -209,13 +209,16 @@ Result<DatasetId> MetadataStore::register_dataset(Registration reg) {
 }
 
 Result<DatasetRecord> MetadataStore::get(DatasetId id) const {
+  const DatasetRecord* record = find(id);
+  if (record == nullptr) return not_found("dataset #" + std::to_string(id));
+  return *record;
+}
+
+const DatasetRecord* MetadataStore::find(DatasetId id) const {
   static obs::Counter& lookups = lookup_counter("get");
   lookups.add(1);
   const auto it = records_.find(id);
-  if (it == records_.end()) {
-    return not_found("dataset #" + std::to_string(id));
-  }
-  return it->second;
+  return it == records_.end() ? nullptr : &it->second;
 }
 
 Result<DatasetId> MetadataStore::find_by_name(const std::string& project,

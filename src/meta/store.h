@@ -59,6 +59,10 @@ class MetadataStore {
 
   // -- Lookup / query --------------------------------------------------------
   [[nodiscard]] Result<DatasetRecord> get(DatasetId id) const;
+  // Borrowing lookup: the stored record, or null when absent. Counts as a
+  // `get` lookup. Records are never removed, so the pointer stays valid for
+  // the store's lifetime, but tag/untag mutate the record it points at.
+  [[nodiscard]] const DatasetRecord* find(DatasetId id) const;
   [[nodiscard]] Result<DatasetId> find_by_name(const std::string& project,
                                                const std::string& name) const;
   [[nodiscard]] std::vector<DatasetId> query(const Query& query) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <string>
 
 #include "common/require.h"
@@ -107,53 +106,83 @@ Result<FlowId> TransferEngine::start_transfer(NodeId src, NodeId dst,
                 options, ctx = obs::current_context(),
                 cb = std::move(on_complete)]() mutable {
         advance_progress();
-        Flow flow;
+        const Slot slot = acquire_slot();
+        Flow& flow = slots_[slot];
         flow.ctx = ctx;
         flow.id = id;
         flow.src = src;
         flow.dst = dst;
-        flow.path = std::move(path);
         flow.wire_bytes_remaining = size.as_double() / options.efficiency;
         flow.cap_bps = options.rate_cap.bps();
         flow.weight = options.weight;
         flow.size = size;
         flow.started = started;
         flow.on_complete = std::move(cb);
-        const auto [it, inserted] = flows_.emplace(id, std::move(flow));
-        index_flow_links(id, it->second.path);
-        mark_links_dirty(it->second.path);
-        active_flows_metric_.set(static_cast<double>(flows_.size()));
+        flow.live = true;
+        // Activations arrive in latency order, not id order.
+        by_id_.insert(std::upper_bound(by_id_.begin(), by_id_.end(), id,
+                                       [this](FlowId lhs, Slot rhs) {
+                                         return lhs < slots_[rhs].id;
+                                       }),
+                      slot);
+        join_path(slot, std::move(path));
+        active_flows_metric_.set(static_cast<double>(by_id_.size()));
         reallocate();
       });
   return id;
 }
 
+TransferEngine::Slot TransferEngine::acquire_slot() {
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+    return static_cast<Slot>(slots_.size() - 1);
+  }
+  const Slot slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+std::vector<TransferEngine::Slot>::const_iterator TransferEngine::find_live(
+    FlowId id) const {
+  const auto it = std::lower_bound(
+      by_id_.begin(), by_id_.end(), id,
+      [this](Slot lhs, FlowId rhs) { return slots_[lhs].id < rhs; });
+  return it != by_id_.end() && slots_[*it].id == id ? it : by_id_.end();
+}
+
+void TransferEngine::finish(Slot slot, Status status) {
+  Flow& flow = slots_[slot];
+  TransferCompletion completion{flow.id, flow.size, flow.started,
+                                simulator_.now()};
+  completion.status = std::move(status);
+  const CompletionCallback on_complete = std::move(flow.on_complete);
+  const obs::ContextScope scope(flow.ctx);
+  flow = Flow{};
+  free_slots_.push_back(slot);
+  if (completion.delivered()) record_completion(completion);
+  if (on_complete) on_complete(completion);
+}
+
 bool TransferEngine::cancel(FlowId id) {
   advance_progress();
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
-  Flow flow = std::move(it->second);
-  flows_.erase(it);
-  if (!flow.stalled) {
-    unindex_flow_links(flow.id, flow.path);
-    mark_links_dirty(flow.path);
-  }
-  active_flows_metric_.set(static_cast<double>(flows_.size()));
+  const auto it = find_live(id);
+  if (it == by_id_.end()) return false;
+  const Slot slot = *it;
+  by_id_.erase(it);
+  leave_path(slot);
+  active_flows_metric_.set(static_cast<double>(by_id_.size()));
   reallocate();
   // Deliver the terminal cancelled completion after the engine state is
   // consistent: the callback may start a replacement transfer.
   cancelled_metric_.add(1);
-  TransferCompletion completion{flow.id, flow.size, flow.started,
-                                simulator_.now()};
-  completion.status = lsdf::cancelled("transfer aborted by caller");
-  const obs::ContextScope scope(flow.ctx);
-  if (flow.on_complete) flow.on_complete(completion);
+  finish(slot, lsdf::cancelled("transfer aborted by caller"));
   return true;
 }
 
 Rate TransferEngine::link_load(LinkId id) const {
   double total = 0.0;
-  for (const auto& [flow_id, flow] : flows_) {
+  for (const Slot slot : by_id_) {
+    const Flow& flow = slots_[slot];
     if (std::find(flow.path.begin(), flow.path.end(), id) !=
         flow.path.end()) {
       total += flow.rate_bps;
@@ -163,45 +192,36 @@ Rate TransferEngine::link_load(LinkId id) const {
 }
 
 Rate TransferEngine::flow_rate(FlowId id) const {
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? Rate::zero()
-                            : Rate::bytes_per_second(it->second.rate_bps);
+  const auto it = find_live(id);
+  return it == by_id_.end() ? Rate::zero()
+                            : Rate::bytes_per_second(slots_[*it].rate_bps);
 }
 
 void TransferEngine::advance_progress() {
   const SimDuration elapsed = simulator_.now() - last_update_;
   last_update_ = simulator_.now();
-  if (elapsed <= SimDuration::zero() || flows_.empty()) return;
-  std::vector<Flow> finished;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    Flow& flow = it->second;
-    const double moved = std::min(flow.rate_bps * elapsed.seconds(),
-                                  flow.wire_bytes_remaining);
-    credit_link_bytes(flow.path, moved);
-    flow.wire_bytes_remaining -= flow.rate_bps * elapsed.seconds();
+  if (elapsed <= SimDuration::zero() || by_id_.empty()) return;
+  const double seconds = elapsed.seconds();
+  // One pass in FlowId order: progress every flow, keep the unfinished
+  // ones in place and detach the finished ones. Their callbacks run only
+  // after the pass, at this same instant, so a callback that re-enters the
+  // engine finds no elapsed time and leaves finished_ alone.
+  finished_.clear();
+  std::size_t kept = 0;
+  for (const Slot slot : by_id_) {
+    Flow& flow = slots_[slot];
+    flow.wire_bytes_remaining -= flow.rate_bps * seconds;
     if (flow.wire_bytes_remaining <= kEpsilonBytes) {
-      if (!flow.stalled) {
-        unindex_flow_links(flow.id, flow.path);
-        mark_links_dirty(flow.path);
-      }
-      finished.push_back(std::move(flow));
-      it = flows_.erase(it);
+      leave_path(slot);
+      finished_.push_back(slot);
     } else {
-      ++it;
+      by_id_[kept++] = slot;
     }
   }
-  if (!finished.empty()) {
-    active_flows_metric_.set(static_cast<double>(flows_.size()));
-  }
-  for (Flow& flow : finished) complete_flow(std::move(flow));
-}
-
-void TransferEngine::complete_flow(Flow flow) {
-  const TransferCompletion completion{flow.id, flow.size, flow.started,
-                                      simulator_.now()};
-  const obs::ContextScope scope(flow.ctx);
-  record_completion(completion);
-  if (flow.on_complete) flow.on_complete(completion);
+  if (finished_.empty()) return;
+  by_id_.resize(kept);
+  active_flows_metric_.set(static_cast<double>(by_id_.size()));
+  for (const Slot slot : finished_) finish(slot, Status::ok());
 }
 
 void TransferEngine::resync() {
@@ -211,15 +231,16 @@ void TransferEngine::resync() {
 
 std::size_t TransferEngine::stalled_flows() const {
   std::size_t count = 0;
-  for (const auto& [id, flow] : flows_) {
-    if (flow.stalled) ++count;
+  for (const Slot slot : by_id_) {
+    if (slots_[slot].stalled) ++count;
   }
   return count;
 }
 
 void TransferEngine::repath_flows() {
   seen_topology_version_ = topology_.state_version();
-  for (auto& [id, flow] : flows_) {
+  for (const Slot slot : by_id_) {
+    Flow& flow = slots_[slot];
     // A flow needs a new path if its current one crosses a down link, or
     // if it is stalled and a route may have come back.
     bool broken = flow.stalled;
@@ -231,18 +252,11 @@ void TransferEngine::repath_flows() {
     }
     if (!broken) continue;
     auto rerouted = topology_.route(flow.src, flow.dst);
-    // Stalled flows are not in the flows-on-link index (they carry no
-    // allocation); keep the index in step as the flow moves between paths
-    // and the stalled state.
-    if (!flow.stalled) {
-      unindex_flow_links(id, flow.path);
-      mark_links_dirty(flow.path);
-    }
+    // The flow leaves its old path (a no-op when already stalled) before
+    // either joining the new one or stalling at rate zero.
+    leave_path(slot);
     if (rerouted.is_ok()) {
-      flow.path = std::move(rerouted).take();
-      flow.stalled = false;
-      index_flow_links(id, flow.path);
-      mark_links_dirty(flow.path);
+      join_path(slot, std::move(rerouted).take());
     } else {
       flow.stalled = true;
       flow.rate_bps = 0.0;
@@ -250,67 +264,70 @@ void TransferEngine::repath_flows() {
   }
 }
 
-void TransferEngine::mark_links_dirty(const std::vector<LinkId>& path) {
-  dirty_links_.insert(dirty_links_.end(), path.begin(), path.end());
-}
-
-void TransferEngine::index_flow_links(FlowId id,
-                                      const std::vector<LinkId>& path) {
-  for (const LinkId link : path) {
+void TransferEngine::join_path(Slot slot, std::vector<LinkId> path) {
+  Flow& flow = slots_[slot];
+  flow.path = std::move(path);
+  flow.stalled = false;
+  flow.path_start_remaining = flow.wire_bytes_remaining;
+  for (const LinkId link : flow.path) {
     if (link >= flows_on_link_.size()) flows_on_link_.resize(link + 1);
-    flows_on_link_[link].push_back(id);
+    flows_on_link_[link].push_back(slot);
   }
+  dirty_links_.insert(dirty_links_.end(), flow.path.begin(), flow.path.end());
 }
 
-void TransferEngine::unindex_flow_links(FlowId id,
-                                        const std::vector<LinkId>& path) {
-  for (const LinkId link : path) {
+void TransferEngine::leave_path(Slot slot) {
+  const Flow& flow = slots_[slot];
+  if (flow.stalled) return;
+  // A finishing flow may overshoot below zero; it moved exactly what it
+  // had left.
+  credit_link_bytes(flow.path, flow.path_start_remaining -
+                                   std::max(flow.wire_bytes_remaining, 0.0));
+  for (const LinkId link : flow.path) {
     auto& on_link = flows_on_link_[link];
-    const auto it = std::find(on_link.begin(), on_link.end(), id);
+    const auto it = std::find(on_link.begin(), on_link.end(), slot);
     LSDF_DCHECK(it != on_link.end(), "unindexing a flow not on its link");
     if (it != on_link.end()) on_link.erase(it);
   }
+  dirty_links_.insert(dirty_links_.end(), flow.path.begin(), flow.path.end());
 }
 
-void TransferEngine::closure_of_dirty(std::vector<Flow*>* flows_out,
-                                      std::vector<LinkId>* links_out) {
-  std::vector<char> link_seen(topology_.link_count(), 0);
-  std::set<FlowId> flow_ids;
-  std::vector<LinkId> frontier;
-  for (const LinkId link : dirty_links_) {
-    if (link < link_seen.size() && link_seen[link] == 0) {
-      link_seen[link] = 1;
-      frontier.push_back(link);
-    }
+void TransferEngine::closure_of_dirty() {
+  closure_flows_.clear();
+  closure_links_.clear();
+  const std::uint64_t epoch = ++closure_epoch_;
+  if (link_epoch_.size() < topology_.link_count()) {
+    link_epoch_.resize(topology_.link_count(), 0);
   }
+  const auto reach = [this, epoch](LinkId link) {
+    if (link < link_epoch_.size() && link_epoch_[link] != epoch) {
+      link_epoch_[link] = epoch;
+      frontier_.push_back(link);
+    }
+  };
+  for (const LinkId link : dirty_links_) reach(link);
   // Alternate link -> flows-on-link -> links-on-flow until the frontier is
   // exhausted: the result is the union of the connected components (flows
   // joined through shared links) touched by any dirty link. Every flow
   // crossing an output link is in the output flow set, so the water-fill
   // sees the complete demand on every capacity it redistributes.
-  while (!frontier.empty()) {
-    const LinkId link = frontier.back();
-    frontier.pop_back();
-    links_out->push_back(link);
+  while (!frontier_.empty()) {
+    const LinkId link = frontier_.back();
+    frontier_.pop_back();
+    closure_links_.push_back(link);
     if (link >= flows_on_link_.size()) continue;
-    for (const FlowId id : flows_on_link_[link]) {
-      if (!flow_ids.insert(id).second) continue;
-      const auto it = flows_.find(id);
-      LSDF_REQUIRE(it != flows_.end(),
-                   "flows-on-link index holds a dead flow");
-      for (const LinkId next : it->second.path) {
-        if (next < link_seen.size() && link_seen[next] == 0) {
-          link_seen[next] = 1;
-          frontier.push_back(next);
-        }
-      }
+    for (const Slot slot : flows_on_link_[link]) {
+      Flow& flow = slots_[slot];
+      LSDF_REQUIRE(flow.live, "flows-on-link index holds a dead flow");
+      if (flow.closure_epoch == epoch) continue;
+      flow.closure_epoch = epoch;
+      closure_flows_.push_back(&flow);
+      for (const LinkId next : flow.path) reach(next);
     }
   }
-  std::sort(links_out->begin(), links_out->end());
-  flows_out->reserve(flow_ids.size());
-  for (const FlowId id : flow_ids) {
-    flows_out->push_back(&flows_.at(id));
-  }
+  std::sort(closure_links_.begin(), closure_links_.end());
+  std::sort(closure_flows_.begin(), closure_flows_.end(),
+            [](const Flow* lhs, const Flow* rhs) { return lhs->id < rhs->id; });
 }
 
 void TransferEngine::reallocate() {
@@ -318,7 +335,7 @@ void TransferEngine::reallocate() {
     simulator_.cancel(pending_completion_);
     completion_scheduled_ = false;
   }
-  if (flows_.empty()) {
+  if (by_id_.empty()) {
     dirty_links_.clear();
     return;
   }
@@ -332,16 +349,17 @@ void TransferEngine::reallocate() {
 
   if (full) {
     dirty_links_.clear();
-    std::vector<Flow*> unfrozen;
-    unfrozen.reserve(flows_.size());
-    for (auto& [id, flow] : flows_) {
-      if (!flow.stalled) unfrozen.push_back(&flow);
+    closure_flows_.clear();
+    for (const Slot slot : by_id_) {
+      if (!slots_[slot].stalled) closure_flows_.push_back(&slots_[slot]);
     }
-    std::vector<LinkId> links(topology_.link_count());
-    for (std::size_t at = 0; at < links.size(); ++at) {
-      links[at] = static_cast<LinkId>(at);
+    if (all_links_.size() != topology_.link_count()) {
+      all_links_.resize(topology_.link_count());
+      for (std::size_t at = 0; at < all_links_.size(); ++at) {
+        all_links_[at] = static_cast<LinkId>(at);
+      }
     }
-    allocate(std::move(unfrozen), links);
+    allocate(closure_flows_, all_links_);
   } else {
     // Incremental path: only the components reachable from links whose
     // flow set changed can see different rates — max-min allocations are
@@ -351,16 +369,14 @@ void TransferEngine::reallocate() {
     // those components, so the rates match a full recompute bit-for-bit
     // (transfer_incremental_test.cpp hunts for divergence with exact
     // double comparisons over a randomized schedule).
-    std::vector<Flow*> affected;
-    std::vector<LinkId> links;
-    closure_of_dirty(&affected, &links);
+    closure_of_dirty();
     dirty_links_.clear();
-    if (!affected.empty()) allocate(std::move(affected), links);
+    if (!closure_flows_.empty()) allocate(closure_flows_, closure_links_);
   }
   schedule_next_completion();
 }
 
-void TransferEngine::allocate(std::vector<Flow*> unfrozen,
+void TransferEngine::allocate(std::vector<Flow*>& unfrozen,
                               const std::vector<LinkId>& links) {
   // Progressive filling (weighted water-filling) with per-flow caps:
   // repeatedly find the binding constraint — either the tightest link's
@@ -373,25 +389,36 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen,
   // the floating-point reduction order (and thus, potentially, rate
   // ties) to hash-table layout — a determinism leak the chk fingerprint
   // exists to catch. Dense indexing is also ~2x faster here: link counts
-  // are small and every probe becomes one array access.
+  // are small and every probe becomes one array access. Only the entries
+  // in `links` are reset; no other link is read.
   const std::size_t link_count = topology_.link_count();
-  std::vector<double> remaining(link_count, 0.0);        // capacity left
-  std::vector<double> unfrozen_weight(link_count, 0.0);  // weight on link
+  if (remaining_.size() < link_count) {
+    remaining_.resize(link_count);
+    unfrozen_weight_.resize(link_count);
+    share_.resize(link_count);
+  }
+  for (const LinkId link : links) {
+    remaining_[link] = 0.0;
+    unfrozen_weight_[link] = 0.0;
+  }
   for (const Flow* flow : unfrozen) {
     for (const LinkId link : flow->path) {
-      remaining[link] = topology_.link(link).capacity.bps();
-      unfrozen_weight[link] += flow->weight;
+      remaining_[link] = topology_.link(link).capacity.bps();
+      unfrozen_weight_[link] += flow->weight;
     }
   }
   for (Flow* flow : unfrozen) flow->rate_bps = 0.0;
 
   while (!unfrozen.empty()) {
     // Tightest per-unit-weight share among links carrying unfrozen flows.
+    // Each link's share is computed once per round and reused by the
+    // bottleneck test below, which reads the same two operands; links
+    // without weight get a meaningless share that no flow ever reads.
     double unit_share = std::numeric_limits<double>::infinity();
     for (const LinkId link : links) {
-      if (unfrozen_weight[link] > 0.0) {
-        unit_share =
-            std::min(unit_share, remaining[link] / unfrozen_weight[link]);
+      share_[link] = remaining_[link] / unfrozen_weight_[link];
+      if (unfrozen_weight_[link] > 0.0) {
+        unit_share = std::min(unit_share, share_[link]);
       }
     }
     // Smallest cap-to-weight ratio among unfrozen capped flows.
@@ -402,8 +429,7 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen,
       }
     }
 
-    std::vector<Flow*> next_round;
-    next_round.reserve(unfrozen.size());
+    next_round_.clear();
     if (min_cap_unit < unit_share) {
       // Cap-bound flows freeze at their cap.
       for (Flow* flow : unfrozen) {
@@ -411,11 +437,11 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen,
             flow->cap_bps / flow->weight <= min_cap_unit) {
           flow->rate_bps = flow->cap_bps;
           for (const LinkId link : flow->path) {
-            remaining[link] -= flow->rate_bps;
-            unfrozen_weight[link] -= flow->weight;
+            remaining_[link] -= flow->rate_bps;
+            unfrozen_weight_[link] -= flow->weight;
           }
         } else {
-          next_round.push_back(flow);
+          next_round_.push_back(flow);
         }
       }
     } else {
@@ -430,7 +456,7 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen,
       for (Flow* flow : unfrozen) {
         bool bottlenecked = false;
         for (const LinkId link : flow->path) {
-          if (remaining[link] / unfrozen_weight[link] <= unit_share) {
+          if (share_[link] <= unit_share) {
             bottlenecked = true;
             break;
           }
@@ -440,17 +466,17 @@ void TransferEngine::allocate(std::vector<Flow*> unfrozen,
       for (Flow* flow : unfrozen) {
         if (flow->rate_bps > 0.0) {
           for (const LinkId link : flow->path) {
-            remaining[link] -= flow->rate_bps;
-            unfrozen_weight[link] -= flow->weight;
+            remaining_[link] -= flow->rate_bps;
+            unfrozen_weight_[link] -= flow->weight;
           }
         } else {
-          next_round.push_back(flow);
+          next_round_.push_back(flow);
         }
       }
     }
-    LSDF_REQUIRE(next_round.size() < unfrozen.size(),
+    LSDF_REQUIRE(next_round_.size() < unfrozen.size(),
                  "max-min allocation failed to make progress");
-    unfrozen = std::move(next_round);
+    unfrozen.swap(next_round_);
   }
 }
 
@@ -459,7 +485,8 @@ void TransferEngine::schedule_next_completion() {
   // components an incremental pass left untouched). Stalled flows (no
   // route) sit at rate zero until a resync finds them a path.
   double min_seconds = std::numeric_limits<double>::infinity();
-  for (const auto& [id, flow] : flows_) {
+  for (const Slot slot : by_id_) {
+    const Flow& flow = slots_[slot];
     if (flow.stalled) continue;
     LSDF_REQUIRE(flow.rate_bps > 0.0, "allocated flow has zero rate");
     min_seconds =

@@ -134,6 +134,19 @@ TEST(MetadataStore, RecordsAreWormSnapshotsNotLiveReferences) {
   EXPECT_EQ(fresh.name, "x");
 }
 
+TEST(MetadataStore, FindBorrowsTheStoredRecord) {
+  MetadataStore store;
+  ASSERT_TRUE(store.create_project("p", {}).is_ok());
+  const DatasetId id = store.register_dataset(make_reg("p", "x")).value();
+  const DatasetRecord* record = store.find(id);
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->name, "x");
+  EXPECT_EQ(store.find(id + 1), nullptr);
+  // A borrow sees later tags: it points at the record, not a snapshot.
+  ASSERT_TRUE(store.tag(id, "done").is_ok());
+  EXPECT_EQ(record->tags, std::vector<std::string>{"done"});
+}
+
 // --- Tags -------------------------------------------------------------------------
 
 TEST(MetadataStore, TagUntagAndIndex) {

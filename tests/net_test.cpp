@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/topology.h"
 #include "net/transfer_engine.h"
@@ -359,6 +360,92 @@ TEST(TransferEngine, ReroutedFlowCreditsBytesToLinksThatCarriedThem) {
   EXPECT_NEAR(static_cast<double>(link_bytes(a_d) - base_a_d), 50 * mb, mb);
   EXPECT_NEAR(static_cast<double>(link_bytes(s_b) - base_s_b), 50 * mb, mb);
   EXPECT_NEAR(static_cast<double>(link_bytes(b_d) - base_b_d), 50 * mb, mb);
+}
+
+// Link-byte conservation: each link's lsdf_net_link_bytes_total delta is
+// the wire bytes (size / efficiency) it carried, to within one byte. The
+// counters are process-global, so each case reads deltas from a snapshot.
+class LinkBytes {
+ public:
+  explicit LinkBytes(std::vector<LinkId> links) : links_(std::move(links)) {
+    for (const LinkId link : links_) base_.push_back(read(link));
+  }
+  [[nodiscard]] double delta(std::size_t at) const {
+    return static_cast<double>(read(links_[at]) - base_[at]);
+  }
+
+ private:
+  static std::int64_t read(LinkId link) {
+    return obs::MetricsRegistry::global().counter_value(
+        "lsdf_net_link_bytes_total", {{"link", std::to_string(link)}});
+  }
+  std::vector<LinkId> links_;
+  std::vector<std::int64_t> base_;
+};
+
+TEST(TransferEngine, LinkBytesOfACompletedFlowEqualItsWireBytes) {
+  sim::Simulator sim;
+  Topology topo = line_topology(3, Rate::megabytes_per_second(100.0));
+  const LinkBytes bytes({0, 2});  // forward links n0-n1, n1-n2
+  TransferEngine engine(sim, topo);
+  TransferOptions options;
+  options.efficiency = 0.8;
+  Capture capture;
+  ASSERT_TRUE(engine.start_transfer(0, 2, 10_MB, options, capture.cb())
+                  .is_ok());
+  sim.run();
+  ASSERT_TRUE(capture.completion.has_value());
+  EXPECT_TRUE(capture.completion->delivered());
+  EXPECT_NEAR(bytes.delta(0), 12.5e6, 1.0);
+  EXPECT_NEAR(bytes.delta(1), 12.5e6, 1.0);
+}
+
+TEST(TransferEngine, LinkBytesOfACancelledFlowStopAtTheCancel) {
+  sim::Simulator sim;
+  Topology topo = line_topology(3, Rate::megabytes_per_second(100.0));
+  const LinkBytes bytes({0, 2});
+  TransferEngine engine(sim, topo);
+  const FlowId id =
+      engine.start_transfer(0, 2, 100_MB, TransferOptions{}, nullptr).value();
+  sim.run_until(SimTime::zero() + 300_ms);  // 30 MB on the wire
+  ASSERT_TRUE(engine.cancel(id));
+  sim.run();
+  EXPECT_NEAR(bytes.delta(0), 30e6, 1.0);
+  EXPECT_NEAR(bytes.delta(1), 30e6, 1.0);
+}
+
+TEST(TransferEngine, LinkBytesFollowAFlowReroutedTwice) {
+  sim::Simulator sim;
+  Topology topo;
+  const NodeId s = topo.add_node("src");
+  const NodeId a = topo.add_node("via-a");
+  const NodeId b = topo.add_node("via-b");
+  const NodeId d = topo.add_node("dst");
+  const Rate rate = Rate::megabytes_per_second(100.0);
+  const LinkId s_a = topo.add_duplex_link(s, a, rate, SimDuration::zero());
+  const LinkId a_d = topo.add_duplex_link(a, d, rate, SimDuration::zero());
+  const LinkId s_b = topo.add_duplex_link(s, b, rate, SimDuration::zero());
+  const LinkId b_d = topo.add_duplex_link(b, d, rate, SimDuration::zero());
+  const LinkBytes bytes({s_a, a_d, s_b, b_d});
+  TransferEngine engine(sim, topo);
+  Capture capture;
+  ASSERT_TRUE(engine.start_transfer(s, d, 100_MB, TransferOptions{},
+                                    capture.cb())
+                  .is_ok());
+  sim.run_until(SimTime::zero() + 200_ms);  // 20 MB over s-a-d
+  topo.set_duplex_up(s_a, false);           // reroute via s-b-d
+  engine.resync();
+  sim.run_until(SimTime::zero() + 500_ms);  // 30 MB over s-b-d
+  topo.set_duplex_up(s_a, true);
+  topo.set_duplex_up(s_b, false);           // reroute back via s-a-d
+  engine.resync();
+  sim.run();                                // last 50 MB over s-a-d
+  ASSERT_TRUE(capture.completion.has_value());
+  EXPECT_TRUE(capture.completion->delivered());
+  EXPECT_NEAR(bytes.delta(0), 70e6, 1.0);
+  EXPECT_NEAR(bytes.delta(1), 70e6, 1.0);
+  EXPECT_NEAR(bytes.delta(2), 30e6, 1.0);
+  EXPECT_NEAR(bytes.delta(3), 30e6, 1.0);
 }
 
 TEST(TransferEngine, LinkLoadReflectsAllocation) {

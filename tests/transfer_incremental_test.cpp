@@ -174,5 +174,198 @@ TEST(TransferIncremental, MatchesFullReallocationExactly) {
   ASSERT_EQ(sim_inc.fingerprint(), sim_full.fingerprint());
 }
 
+// One completion as the golden log records it.
+struct PinnedCompletion {
+  FlowId id;
+  std::int64_t finished_ns;
+  bool delivered;
+  friend bool operator==(const PinnedCompletion&,
+                         const PinnedCompletion&) = default;
+};
+
+// Replays a short seeded schedule on one default-mode engine: intra-cluster
+// flows in all three clusters (separate components), cross-cluster flows
+// over the backbone, rate caps and QoS weights, cancels drawn from every id
+// issued, backbone flaps (reroute) and spoke flaps (stall).
+std::vector<PinnedCompletion> replay_pinned_schedule(
+    std::uint64_t* fingerprint) {
+  TestFacility fac;
+  sim::Simulator sim;
+  TransferEngine engine(sim, fac.topo);
+  std::uint64_t state = 0x5EED0017ULL;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  std::vector<PinnedCompletion> log;
+  std::vector<FlowId> started;
+  std::vector<LinkId> down;
+  const auto flap = [&](LinkId forward, bool up) {
+    fac.topo.set_duplex_up(forward, up);
+    engine.resync();
+  };
+  const auto start = [&](std::size_t src, std::size_t dst, Bytes size,
+                         const TransferOptions& options) {
+    const auto id = engine.start_transfer(
+        fac.leaves[src], fac.leaves[dst], size, options,
+        [&log](const TransferCompletion& c) {
+          log.push_back({c.id, c.finished.nanos(), c.delivered()});
+        });
+    if (id.is_ok()) started.push_back(id.value());
+  };
+  for (int step = 0; step < 240; ++step) {
+    if (step == 120) {
+      // Three twins on one path finish at one instant, from reused slots:
+      // their callbacks must fire in FlowId order.
+      for (int twin = 0; twin < 3; ++twin) start(0, 1, 8_MB, {});
+    }
+    const std::uint64_t op = next() % 100;
+    if (op < 35) {
+      // Two of three starts stay inside one cluster.
+      const std::size_t cluster = next() % 3;
+      const std::size_t src = cluster * 6 + next() % 6;
+      std::size_t dst = next() % 3 == 0 ? next() % fac.leaves.size()
+                                        : cluster * 6 + next() % 6;
+      if (dst == src) dst = cluster * 6 + (src % 6 + 1) % 6;
+      const auto size =
+          Bytes(static_cast<std::int64_t>(next() % (16 << 20)) + 1);
+      TransferOptions options;
+      options.weight = 1.0 + static_cast<double>(next() % 3);
+      if (next() % 3 == 0) {
+        options.rate_cap =
+            Rate::megabytes_per_second(8.0 + static_cast<double>(next() % 40));
+      }
+      start(src, dst, size, options);
+    } else if (op < 45 && !started.empty()) {
+      (void)engine.cancel(started[next() % started.size()]);
+    } else if (op < 55) {
+      if (!down.empty() && next() % 2 == 0) {
+        const std::size_t at = next() % down.size();
+        flap(down[at], true);
+        down.erase(down.begin() + static_cast<std::ptrdiff_t>(at));
+      } else if (down.size() < 3) {
+        const LinkId forward = next() % 2 == 0
+                                   ? fac.backbone[next() % 3]
+                                   : fac.spokes[next() % fac.spokes.size()];
+        if (std::find(down.begin(), down.end(), forward) == down.end()) {
+          flap(forward, false);
+          down.push_back(forward);
+        }
+      }
+    } else {
+      const auto dt = static_cast<std::int64_t>(next() % 30'000'000);
+      sim.run_until(sim.now() + SimDuration(dt));
+    }
+  }
+  for (const LinkId forward : down) flap(forward, true);
+  sim.run();
+  *fingerprint = sim.fingerprint();
+  return log;
+}
+
+// Golden log of the schedule above, recorded from the std::map-based engine
+// that the slab/epoch implementation replaced. The differential test above
+// compares two modes of one engine, so it cannot see drift that both modes
+// share; this log can. Every completion instant, status and the kernel
+// fingerprint must stay bit-identical.
+constexpr std::uint64_t kPinnedFingerprint = 0x99f9366d06a8af0cULL;
+const std::vector<PinnedCompletion> kPinnedCompletions = {
+    {1, 82139608, false},
+    {5, 199967138, false},
+    {4, 275778773, false},
+    {10, 327911476, false},
+    {11, 333423239, true},
+    {12, 365585653, true},
+    {7, 402203895, false},
+    {6, 428079916, true},
+    {2, 453694972, true},
+    {13, 470224152, false},
+    {15, 472502129, true},
+    {17, 474274441, true},
+    {8, 476829949, true},
+    {22, 489165321, true},
+    {3, 497493692, true},
+    {20, 506570119, true},
+    {14, 526438533, true},
+    {21, 538190701, true},
+    {23, 538522249, true},
+    {16, 545183376, true},
+    {25, 578723302, true},
+    {9, 591385247, true},
+    {26, 605399686, true},
+    {29, 626985170, true},
+    {19, 628194971, false},
+    {30, 645235932, true},
+    {27, 680654529, true},
+    {33, 687711945, true},
+    {31, 693076349, false},
+    {32, 715482195, true},
+    {24, 723893375, true},
+    {18, 748563776, true},
+    {36, 828030988, false},
+    {37, 836264533, false},
+    {43, 842656213, true},
+    {28, 879077425, true},
+    {38, 930829151, true},
+    {44, 953257126, true},
+    {42, 1033815520, true},
+    {39, 1060450497, true},
+    {40, 1060450497, true},
+    {41, 1060450497, true},
+    {47, 1105795789, true},
+    {48, 1112041421, true},
+    {52, 1179812127, true},
+    {50, 1240710571, false},
+    {35, 1242385624, false},
+    {59, 1248133644, true},
+    {62, 1259114519, true},
+    {53, 1271333524, true},
+    {51, 1282177114, true},
+    {45, 1289404479, true},
+    {60, 1300682429, true},
+    {56, 1305402079, true},
+    {54, 1311486473, true},
+    {49, 1315449002, true},
+    {57, 1317861524, true},
+    {66, 1331599457, true},
+    {55, 1357414131, true},
+    {69, 1362059312, true},
+    {65, 1428348879, true},
+    {64, 1438727313, true},
+    {58, 1446351143, true},
+    {70, 1452782967, true},
+    {72, 1461080532, true},
+    {68, 1462299289, true},
+    {34, 1467591967, true},
+    {63, 1467603280, true},
+    {71, 1493632323, true},
+    {61, 1538701346, true},
+    {77, 1550433206, true},
+    {73, 1586830856, true},
+    {74, 1599356812, true},
+    {78, 1617120609, true},
+    {76, 1634519692, true},
+    {79, 1677644947, true},
+    {82, 1727954642, true},
+    {80, 1919431457, true},
+    {75, 2232897338, true},
+    {46, 2245963160, true},
+    {67, 2368898216, true},
+    {81, 2727791814, true},
+};
+
+TEST(TransferIncremental, PinnedScheduleMatchesRecordedCompletions) {
+  std::uint64_t fingerprint = 0;
+  const std::vector<PinnedCompletion> log =
+      replay_pinned_schedule(&fingerprint);
+  ASSERT_EQ(log.size(), kPinnedCompletions.size());
+  for (std::size_t at = 0; at < log.size(); ++at) {
+    EXPECT_EQ(log[at], kPinnedCompletions[at])
+        << "completion " << at << ": flow " << log[at].id << " at "
+        << log[at].finished_ns << " ns, delivered " << log[at].delivered;
+  }
+  EXPECT_EQ(fingerprint, kPinnedFingerprint);
+}
+
 }  // namespace
 }  // namespace lsdf::net
