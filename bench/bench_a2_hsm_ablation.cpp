@@ -267,6 +267,6 @@ int main(int argc, char** argv) {
       [](std::uint64_t s) { return run_cache_trace(true, s).outcome; }, seed);
   bench::row("replay (cached): %s", replay.describe().c_str());
 
-  bench::obs_dump(obs_options);
-  return replay.deterministic() ? 0 : 1;
+  const bool dumped = bench::obs_dump(obs_options);
+  return replay.deterministic() && dumped ? 0 : 1;
 }

@@ -185,6 +185,5 @@ int main(int argc, char** argv) {
   }
 
   run_tenant_latency();
-  bench::obs_dump(obs);
-  return 0;
+  return bench::obs_dump(obs) ? 0 : 1;
 }

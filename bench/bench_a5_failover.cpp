@@ -342,6 +342,5 @@ int main(int argc, char** argv) {
 
   bench::metrics_digest("lsdf_fault");
   bench::metrics_digest("lsdf_retry");
-  bench::obs_dump(obs_options);
-  return 0;
+  return bench::obs_dump(obs_options) ? 0 : 1;
 }

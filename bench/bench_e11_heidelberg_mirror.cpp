@@ -8,14 +8,10 @@
 // DESIGN.md §4i); measures mirror backlog and throughput on the shared
 // 10 GE WAN, then repeats the day with a 2-hour WAN outage to show the
 // retry/stall machinery holding the backlog instead of losing data.
-#include <cstdlib>
-
 #include "bench_util.h"
 #include "core/facility.h"
-#include "exec/thread_pool.h"
 #include "fed/federation.h"
 #include "ingest/sources.h"
-#include "partitioned_site.h"
 #include "sim/sampler.h"
 
 using namespace lsdf;
@@ -29,6 +25,8 @@ struct DayResult {
   std::int64_t failures = 0;
   double wan_mean_utilization = 0.0;
   double backlog_peak = 0.0;
+  std::uint64_t fingerprint = 0;  // the day's simulator, for replay evidence
+  std::uint64_t events = 0;
 };
 
 // Runs the acquisition day with the mirror as the federation's single
@@ -118,53 +116,18 @@ DayResult run_day(bool outage) {
   result.wan_mean_utilization =
       wan.series("wan_bps").mean() /
       facility.topology().link(facility.wan_link()).capacity.bps();
+  result.fingerprint = sim.fingerprint();
+  result.events = sim.executed_events();
   return result;
-}
-
-// KIT and BioQuant as two shards of the sharded kernel: each site a local
-// 10 GE star, coupled by the dedicated WAN link whose latency becomes the
-// pair lookahead (DESIGN.md §5c). Every 3rd local acquisition replicates
-// across — the mirror policy as deterministic cross-site mail. Reported as
-// perf_e11_sharded.
-void run_partitioned_section(unsigned workers, bench::JsonReport& report) {
-  bench::section("partitioned 2-site run (KIT + Heidelberg, sharded kernel)");
-  bench::PartitionedSpec spec;
-  spec.sites = 2;
-  spec.wan_latency = 2_ms;  // the dedicated KIT–Heidelberg fibre
-  spec.readout_events = 1'200'000;
-  spec.replicate_every = 3;  // E11's every-3rd-frame sharing policy
-  spec.replica_size = 20_GB;
-  const unsigned hw = exec::ThreadPool::default_thread_count();
-  const bench::PartitionedPair pair = bench::run_partitioned_pair(
-      spec, workers == 0 ? std::min<unsigned>(2, hw) : workers);
-  bench::row("WAN lookahead %.1f ms; %llu mirror mails delivered, %llu "
-             "windows (%llu skipped idle)",
-             pair.serial.pair_lookahead.seconds() * 1e3,
-             (unsigned long long)pair.parallel.mail_delivered,
-             (unsigned long long)pair.parallel.windows_run,
-             (unsigned long long)pair.parallel.idle_windows_skipped);
-  bench::report_partitioned_pair(pair, 2, "", "perf_e11_sharded", report);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Flags flags(
-      argc, argv,
-      {{"--workers", true}, {"--partitioned-only"}, {"--json", true}});
-  // 0 = min(2, hw threads)
-  const auto workers =
-      static_cast<unsigned>(std::atoi(flags.value("--workers").c_str()));
-  const bool partitioned_only = flags.has("--partitioned-only");
-  bench::JsonReport report(flags);
+  const bench::Flags flags(argc, argv, {});  // no flags: rejects any
   bench::headline("E11: cross-site mirroring to Heidelberg (slides 6/7)",
                   "tight cooperation with BioQuant over the dedicated WAN "
                   "link");
-  if (partitioned_only) {
-    run_partitioned_section(workers, report);
-    report.write();
-    return 0;
-  }
 
   bench::section("normal day: every 3rd acquisition bundle shared");
   const DayResult normal = run_day(false);
@@ -193,7 +156,13 @@ int main(int argc, char** argv) {
   bench::compare("outage grows the backlog, not the failure count", 0.0,
                  static_cast<double>(outage.failures), "failures");
 
-  run_partitioned_section(workers, report);
-  report.write();
+  // Same-seed replay evidence for the facility and federation models.
+  bench::section("determinism");
+  for (const auto& [name, day] :
+       {std::pair{"normal day", normal}, std::pair{"outage day", outage}}) {
+    bench::row("%-34s %016llx over %llu events", name,
+               static_cast<unsigned long long>(day.fingerprint),
+               static_cast<unsigned long long>(day.events));
+  }
   return 0;
 }

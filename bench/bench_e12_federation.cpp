@@ -290,9 +290,11 @@ int main(int argc, char** argv) {
           {"resolutions_per_s", day.resolutions_per_second},
           {"replay_deterministic", replay.deterministic() ? 1.0 : 0.0},
       });
-  report.write();
+  const bool reported = report.write();
 
   bench::metrics_digest("lsdf_fed");
-  bench::obs_dump(obs_options);
-  return replay.deterministic() && day.failures == 0 ? 0 : 1;
+  const bool dumped = bench::obs_dump(obs_options);
+  return replay.deterministic() && day.failures == 0 && reported && dumped
+             ? 0
+             : 1;
 }

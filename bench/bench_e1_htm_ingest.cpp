@@ -29,9 +29,8 @@ DayResult run_day(double parameter_multiplier, double hours, bool tracing) {
   config.ddn_capacity = 10_TB;
   config.ibm_capacity = 10_TB;
   core::Facility facility(config);
+  const bench::ScopedSimTraceClock trace_clock(facility.simulator());
   if (tracing) {
-    sim::Simulator& sim = facility.simulator();
-    obs::Tracer::global().use_sim_clock([&sim] { return sim.now().nanos(); });
     obs::Tracer::global().set_pid(static_cast<int>(parameter_multiplier * 10));
   }
   (void)facility.metadata().create_project("zebrafish-htm", {});
@@ -50,7 +49,6 @@ DayResult run_day(double parameter_multiplier, double hours, bool tracing) {
   result.mean_latency_s = stats.latency_seconds.mean();
   result.max_latency_s = stats.latency_seconds.max();
   result.failed = stats.failed;
-  if (tracing) obs::Tracer::global().use_steady_clock();
   return result;
 }
 
@@ -111,6 +109,5 @@ int main(int argc, char** argv) {
   }
 
   bench::metrics_digest("lsdf_ingest");
-  bench::obs_dump(obs_options);
-  return 0;
+  return bench::obs_dump(obs_options) ? 0 : 1;
 }

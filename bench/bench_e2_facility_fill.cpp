@@ -7,74 +7,20 @@
 // ANKA) with community data batched into hourly containers; print the
 // utilisation time series per storage system, the backbone throughput, and
 // the archive tier's growth.
-#include <cstdlib>
-
 #include "bench_util.h"
 #include "core/facility.h"
-#include "exec/thread_pool.h"
 #include "ingest/sources.h"
-#include "partitioned_site.h"
 #include "sim/sampler.h"
 
 using namespace lsdf;
 
-namespace {
-
-// The multi-core adoption (DESIGN.md §5c): the facility re-expressed as
-// per-site shards — local 10 GE stars joined by a WAN gateway ring — run
-// once serially (the oracle) and once on a worker pool, with the merged
-// fingerprints REQUIREd byte-identical. Reported as perf_e2_sharded.
-void run_partitioned_section(std::uint32_t shards, unsigned workers,
-                             bench::JsonReport& report) {
-  bench::section("partitioned per-site run (sharded kernel)");
-  bench::PartitionedSpec spec;
-  spec.sites = shards;
-  spec.readout_events = 1'500'000;
-  const unsigned hw = exec::ThreadPool::default_thread_count();
-  const bench::PartitionedPair pair = bench::run_partitioned_pair(
-      spec, workers == 0 ? std::min<unsigned>(shards, hw) : workers);
-  bench::row("%u sites, WAN lookahead %.1f ms (derived from the gateway "
-             "ring, not the global backbone floor)",
-             shards, pair.serial.pair_lookahead.seconds() * 1e3);
-  bench::report_partitioned_pair(
-      pair, shards,
-      "; " + std::to_string(pair.parallel.mail_delivered) +
-          " cross-site mails, " + std::to_string(pair.parallel.windows_run) +
-          " windows (" +
-          std::to_string(pair.parallel.idle_windows_skipped) +
-          " skipped idle)",
-      "perf_e2_sharded", report);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const bench::Flags flags(
-      argc, argv,
-      bench::obs_flags({{"--shards", true},
-                        {"--workers", true},
-                        {"--partitioned-only"},
-                        {"--json", true}}));
+  const bench::Flags flags(argc, argv, bench::obs_flags());
   const bench::ObsOptions obs_options = bench::obs_init(flags);
-  const std::uint32_t shards =
-      flags.has("--shards") ? static_cast<std::uint32_t>(
-                                  std::atoi(flags.value("--shards").c_str()))
-                            : 4;
-  // 0 = min(shards, hw threads)
-  const auto workers =
-      static_cast<unsigned>(std::atoi(flags.value("--workers").c_str()));
-  const bool partitioned_only = flags.has("--partitioned-only");
-  bench::JsonReport report(flags);
   bench::headline(
       "E2: facility storage fill & backbone load (slide 7)",
       "2 PB online in 2 systems (0.5 PB DDN + 1.4 PB IBM), 10 GE "
       "backbone, tape backend");
-  if (partitioned_only) {
-    run_partitioned_section(shards, workers, report);
-    report.write();
-    bench::obs_dump(obs_options);
-    return 0;
-  }
 
   core::FacilityConfig config;  // full paper-scale facility
   config.cluster.racks = 2;     // cluster size is irrelevant to E2; shrink
@@ -84,9 +30,7 @@ int main(int argc, char** argv) {
   config.ingest.parallel_slots = 64;
   core::Facility facility(config);
   sim::Simulator& sim = facility.simulator();
-  if (obs_options.tracing()) {
-    obs::Tracer::global().use_sim_clock([&sim] { return sim.now().nanos(); });
-  }
+  const bench::ScopedSimTraceClock trace_clock(sim);
 
   for (const char* project :
        {"zebrafish-htm", "katrin", "climate", "anka"}) {
@@ -204,10 +148,13 @@ int main(int argc, char** argv) {
   bench::compare("9-month fill (vs 0.55 PB expected at 2.1 TB/day)", 0.55,
                  final_pool_pb, "PB");
 
-  run_partitioned_section(shards, workers, report);
-  report.write();
+  // Same-seed replay evidence for the facility models themselves: a change
+  // to disk, HSM, tape, ingest or net that moves any event shows here.
+  bench::section("determinism");
+  bench::row("facility fingerprint %016llx over %llu events",
+             static_cast<unsigned long long>(sim.fingerprint()),
+             static_cast<unsigned long long>(sim.executed_events()));
 
   bench::metrics_digest();
-  bench::obs_dump(obs_options);
-  return 0;
+  return bench::obs_dump(obs_options) ? 0 : 1;
 }

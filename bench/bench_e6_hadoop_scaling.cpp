@@ -23,12 +23,10 @@ struct ScalePoint {
 
 ScalePoint run_at_scale(int racks, int nodes_per_rack, bool tracing) {
   sim::Simulator sim;
+  const bench::ScopedSimTraceClock trace_clock(sim);
   // One Perfetto "process" row per cluster size: job and shuffle spans of
   // repeated runs land in separate groups instead of overlapping.
-  if (tracing) {
-    obs::Tracer::global().use_sim_clock([&sim] { return sim.now().nanos(); });
-    obs::Tracer::global().set_pid(racks * nodes_per_rack);
-  }
+  if (tracing) obs::Tracer::global().set_pid(racks * nodes_per_rack);
   dfs::ClusterLayoutConfig layout_config;
   layout_config.racks = racks;
   layout_config.nodes_per_rack = nodes_per_rack;
@@ -68,8 +66,6 @@ ScalePoint run_at_scale(int racks, int nodes_per_rack, bool tracing) {
       total == 0 ? 0.0
                  : static_cast<double>(result->rack_local_maps) /
                        static_cast<double>(total);
-  // The sim-clock closure captures `sim`, which dies with this frame.
-  if (tracing) obs::Tracer::global().use_steady_clock();
   return point;
 }
 
@@ -109,6 +105,5 @@ int main(int argc, char** argv) {
              format_bytes(2_TB * 60).c_str());
 
   bench::metrics_digest("lsdf_mapreduce");
-  bench::obs_dump(obs_options);
-  return 0;
+  return bench::obs_dump(obs_options) ? 0 : 1;
 }

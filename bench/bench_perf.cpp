@@ -5,31 +5,37 @@
 // denominator of every reproduced figure. This harness measures the three
 // hot shapes — pure dispatch, schedule+cancel churn, and a mixed facility
 // workload (transfers + resources + periodic ticks) — plus the sharded
-// kernel's serial-vs-pooled dispatch, in wall time. The numbers are
-// tabled, with their hardware, in EXPERIMENTS.md.
+// kernel's serial-vs-pooled run of a 4-site fabric, in wall time and CPU
+// time. The numbers are tabled, with their hardware, in EXPERIMENTS.md.
 //
 // Flags:
 //   --quick               CI-sized run (~1s total)
+//   --sharded-smoke       only the sharded section, small (TSan, ctest)
 //   --json <path>         write the run's sections and its host to <path>
 //                         (nothing is written without it)
 //   --floor <file>        key=value file with dispatch_min_meps; exits
 //                         non-zero if measured dispatch throughput drops
 //                         more than 30% below that floor (CI perf-smoke)
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/require.h"
+#include "common/units.h"
 #include "exec/thread_pool.h"
 #include "net/topology.h"
 #include "net/transfer_engine.h"
 #include "obs/metrics.h"
+#include "sim/partition.h"
 #include "sim/sharded_simulator.h"
 #include "sim/simulator.h"
 
@@ -66,22 +72,23 @@ void report(const std::string& name, const Throughput& t) {
 // callbacks occupy: an object pointer plus a few values), so kernels whose
 // callback type heap-allocates beyond a 16-byte SBO pay that cost here,
 // exactly as the facility models do.
+struct Chain {
+  sim::Simulator* sim;
+  std::uint64_t* dispatched;
+  std::uint64_t budget;
+  std::uint64_t stride;
+  void operator()() const {
+    ++*dispatched;
+    if (*dispatched + stride <= budget) {
+      sim->schedule_after(SimDuration(static_cast<std::int64_t>(stride)),
+                          *this);
+    }
+  }
+};
+
 Throughput dispatch_bench(std::uint64_t total_events, std::size_t width) {
   sim::Simulator sim;
   std::uint64_t dispatched = 0;
-  struct Chain {
-    sim::Simulator* sim;
-    std::uint64_t* dispatched;
-    std::uint64_t budget;
-    std::uint64_t stride;
-    void operator()() const {
-      ++*dispatched;
-      if (*dispatched + stride <= budget) {
-        sim->schedule_after(SimDuration(static_cast<std::int64_t>(stride)),
-                            *this);
-      }
-    }
-  };
   for (std::size_t i = 0; i < width; ++i) {
     sim.schedule_after(
         SimDuration(static_cast<std::int64_t>(i + 1)),
@@ -180,92 +187,223 @@ Throughput mixed_facility_bench(int waves, int flows_per_wave) {
   return t;
 }
 
-// --- 4. Sharded dispatch: worker-count scaling of the parallel kernel ---------
+// --- 4. Sharded kernel: a 4-site fabric, serial oracle vs worker pool --------
 //
-// The dispatch_bench workload partitioned over a 4-shard
-// sim::ShardedSimulator, with a cross-shard mailbox ring ping riding along
-// so every synchronization window carries real mail. Run twice — serially
-// on the caller thread (the single-threaded oracle) and fanned out on an
-// exec::ThreadPool — and the merged fingerprints must be byte-identical;
-// the ratio of the two wall times is the kernel's parallel speedup.
-struct ShardedOutcome {
+// The LSDF "sites" shape built with sim::Partitioner: per site a gateway
+// router plus a local 10 GE star of racks, the gateways joined into a WAN
+// ring whose latency becomes the derived pair lookahead. Each site is one
+// shard running detector readout chains (the event-rate floor, the
+// dispatch_bench shape), waves of local transfers through its own
+// net::TransferEngine and a periodic monitor; every 4th completed transfer
+// replicates to the next site through the Partition's deterministic mailbox
+// (a post_notice plus a post_transfer), so windows carry real cross-site
+// mail. The world runs twice — serially on the caller thread (the oracle)
+// and on an exec::ThreadPool — and the merged fingerprints must be
+// byte-identical (worker-count invariance, DESIGN.md §5c). Only the
+// per-site readout event count varies between full, --quick and smoke runs.
+constexpr std::uint32_t kSites = 4;
+constexpr std::uint32_t kRacksPerSite = 4;
+constexpr SimDuration kWanLatency = 10_ms;
+constexpr SimDuration kLocalLatency = SimDuration(50'000);  // rack uplink
+constexpr Rate kLinkCapacity = Rate::gigabits_per_second(10.0);
+constexpr std::size_t kReadoutChains = 256;
+constexpr int kTransferWaves = 6;
+constexpr int kTransfersPerWave = 24;
+constexpr std::uint64_t kReplicateEvery = 4;
+constexpr Bytes kReplicaSize = 2_GB;
+constexpr SimDuration kMonitorPeriod = 10_s;
+constexpr SimDuration kHorizon = 600_s;
+
+struct ShardedRun {
   Throughput throughput;
+  double cpu_seconds = 0.0;  // process CPU time (all threads) over the run
   std::uint64_t fingerprint = 0;
+  std::uint64_t mail_delivered = 0;
+  std::uint64_t windows_run = 0;
+  std::uint64_t idle_windows_skipped = 0;
+  SimDuration pair_lookahead;
 };
 
-ShardedOutcome sharded_dispatch_bench(std::uint32_t shards,
-                                      std::uint64_t events_per_shard,
-                                      std::size_t width,
-                                      lsdf::exec::ThreadPool* pool) {
-  // 100 µs lookahead → ~width·100k-event shard-windows: long enough to
-  // amortize the barrier, short enough that a run crosses many of them.
-  const SimDuration lookahead(100'000);
-  sim::ShardedSimulator sharded(shards, lookahead, pool);
-  struct alignas(64) ShardCount {
-    std::uint64_t value = 0;
+double process_cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) + static_cast<double>(t.tv_usec) / 1e6;
   };
-  std::vector<ShardCount> dispatched(shards);
-  struct Chain {
-    sim::Simulator* sim;
-    std::uint64_t* dispatched;
-    std::uint64_t budget;
-    std::uint64_t stride;
-    void operator()() const {
-      ++*dispatched;
-      if (*dispatched + stride <= budget) {
-        sim->schedule_after(SimDuration(static_cast<std::int64_t>(stride)),
-                            *this);
-      }
-    }
-  };
-  for (std::uint32_t s = 0; s < shards; ++s) {
-    sim::Simulator& shard_sim = sharded.shard(s);
-    for (std::size_t i = 0; i < width; ++i) {
-      sharded.seed(s, SimTime(static_cast<std::int64_t>(i + 1)),
-                   Chain{&shard_sim, &dispatched[s].value, events_per_shard,
-                         width});
-    }
-  }
-  struct Ping {
-    sim::ShardedSimulator* world;
-    std::uint64_t remaining;
-    std::uint32_t at;
-    void operator()() const {
-      if (remaining == 0) return;
-      const std::uint32_t next = (at + 1) % world->shard_count();
-      world->post(at, next, world->lookahead(),
-                  Ping{world, remaining - 1, next});
-    }
-  };
-  sharded.seed(0, SimTime(1), Ping{&sharded, shards * 64ULL, 0});
-  const auto start = Clock::now();
-  const auto executed = static_cast<double>(sharded.run());
-  ShardedOutcome outcome{Throughput{executed, seconds_since(start)},
-                         sharded.fingerprint()};
-  std::uint64_t chained = 0;
-  for (const ShardCount& c : dispatched) chained += c.value;
-  LSDF_REQUIRE(chained >= static_cast<std::uint64_t>(shards) *
-                              (events_per_shard - width),
-               "sharded dispatch chains lost events");
-  return outcome;
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
-// Serial-vs-pooled pair; REQUIREs worker-count-invariant fingerprints (the
-// acceptance property, enforced on every bench and TSan-smoke run).
-void run_sharded_dispatch(std::uint64_t events_per_shard,
-                          lsdf::bench::JsonReport& json) {
-  constexpr std::uint32_t kShards = 4;
-  const unsigned hw = lsdf::exec::ThreadPool::default_thread_count();
-  const unsigned workers = std::min<unsigned>(kShards, hw);
-  const ShardedOutcome serial =
-      sharded_dispatch_bench(kShards, events_per_shard, 256, nullptr);
-  report("sharded serial", serial.throughput);
-  lsdf::exec::ThreadPool pool(workers);
-  const ShardedOutcome parallel =
-      sharded_dispatch_bench(kShards, events_per_shard, 256, &pool);
-  report("sharded x" + std::to_string(workers), parallel.throughput);
+// Per-site mutable state; cache-line aligned because neighbouring sites
+// execute on different workers.
+struct alignas(64) SiteCounters {
+  std::uint64_t readout = 0;
+  std::uint64_t transfers = 0;
+  std::uint64_t replicas = 0;
+  std::uint64_t notices = 0;
+};
+
+ShardedRun sharded_fabric_bench(std::uint64_t readout_events,
+                                exec::ThreadPool* pool) {
+  // Facility-wide topology: the Partitioner derives the coupling matrix
+  // from it. Per-site local stars plus the WAN gateway ring.
+  net::Topology topo;
+  sim::Partitioner partitioner;
+  std::vector<net::NodeId> gateways;
+  for (std::uint32_t s = 0; s < kSites; ++s) {
+    const net::NodeId gw = topo.add_node("site" + std::to_string(s) + "-gw");
+    gateways.push_back(gw);
+    const sim::SiteId site =
+        partitioner.add_site("site" + std::to_string(s), gw);
+    for (std::uint32_t r = 0; r < kRacksPerSite; ++r) {
+      const net::NodeId rack = topo.add_node(
+          "site" + std::to_string(s) + "-rack" + std::to_string(r));
+      topo.add_duplex_link(gw, rack, kLinkCapacity, kLocalLatency);
+      partitioner.assign(rack, site);
+    }
+  }
+  for (std::uint32_t s = 0; s < kSites; ++s) {
+    topo.add_duplex_link(gateways[s], gateways[(s + 1) % kSites],
+                         kLinkCapacity, kWanLatency);
+  }
+
+  Result<sim::Partition> built = partitioner.build(topo, pool);
+  LSDF_REQUIRE(built.is_ok(), "partition build failed: " +
+                                  built.status().message());
+  sim::Partition& partition = built.value();
+
+  // Shard-local models: each site gets its *own* local topology and
+  // transfer engine (shard state must never be shared — the WAN leg is the
+  // Partition mailbox, not a shared engine). Local node ids: gw = 0, racks
+  // = 1..kRacksPerSite.
+  std::vector<SiteCounters> counters(kSites);
+  std::vector<std::unique_ptr<net::Topology>> local_topos;
+  std::vector<std::unique_ptr<net::TransferEngine>> engines;
+  std::vector<std::unique_ptr<sim::PeriodicTask>> monitors;
+  for (std::uint32_t s = 0; s < kSites; ++s) {
+    auto local = std::make_unique<net::Topology>();
+    const net::NodeId gw = local->add_node("gw");
+    for (std::uint32_t r = 0; r < kRacksPerSite; ++r) {
+      const net::NodeId rack = local->add_node("rack" + std::to_string(r));
+      local->add_duplex_link(gw, rack, kLinkCapacity, kLocalLatency);
+    }
+    engines.push_back(std::make_unique<net::TransferEngine>(
+        partition.site_sim(s), *local));
+    local_topos.push_back(std::move(local));
+    monitors.push_back(std::make_unique<sim::PeriodicTask>(
+        partition.site_sim(s), kMonitorPeriod, [] {}));
+    monitors.back()->start_at(SimTime::zero() + kMonitorPeriod,
+                              SimTime::zero() + kHorizon);
+  }
+
+  for (std::uint32_t s = 0; s < kSites; ++s) {
+    sim::Simulator& site_sim = partition.site_sim(s);
+    for (std::size_t i = 0; i < kReadoutChains; ++i) {
+      partition.sharded().seed(
+          s, SimTime(static_cast<std::int64_t>(i + 1)),
+          Chain{&site_sim, &counters[s].readout, readout_events,
+                kReadoutChains});
+    }
+  }
+
+  // Local transfer waves; all randomness is a per-site LCG, so the
+  // schedule is a pure function of the site.
+  for (std::uint32_t s = 0; s < kSites; ++s) {
+    std::uint64_t state = 0x9e3779b97f4a7c15ULL ^ (s * 0xbf58476d1ce4e5b9ULL);
+    auto next = [&state] {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      return state >> 33;
+    };
+    sim::Partition* part = &partition;
+    net::TransferEngine* engine = engines[s].get();
+    SiteCounters* count = &counters[s];
+    const std::uint32_t to = (s + 1) % kSites;
+    SiteCounters* remote = &counters[to];
+    for (int wave = 0; wave < kTransferWaves; ++wave) {
+      for (int f = 0; f < kTransfersPerWave; ++f) {
+        const std::size_t src = next() % kRacksPerSite;
+        std::size_t dst = next() % kRacksPerSite;
+        if (dst == src) dst = (dst + 1) % kRacksPerSite;
+        const Bytes size(static_cast<std::int64_t>(next() % (64 << 20)) + 1);
+        const auto when =
+            SimTime::zero() +
+            SimDuration::from_seconds(static_cast<double>(wave) * 30.0) +
+            SimDuration(static_cast<std::int64_t>(next() % 1'000'000));
+        partition.sharded().seed(s, when, [part, engine, count, remote, s, to,
+                                           src, dst, size] {
+          (void)engine->start_transfer(
+              static_cast<net::NodeId>(src + 1),
+              static_cast<net::NodeId>(dst + 1), size, {},
+              [part, count, remote, s, to](const net::TransferCompletion&) {
+                if (++count->transfers % kReplicateEvery != 0) return;
+                part->post_notice(s, to, [remote] { ++remote->notices; });
+                part->post_transfer(s, to, kReplicaSize,
+                                    [remote] { ++remote->replicas; });
+              });
+        });
+      }
+    }
+  }
+
+  const double cpu_start = process_cpu_seconds();
+  const auto start = Clock::now();
+  partition.sharded().run_until(SimTime::zero() + kHorizon);
+  ShardedRun run;
+  run.throughput = Throughput{
+      static_cast<double>(partition.sharded().executed_events()),
+      seconds_since(start)};
+  run.cpu_seconds = process_cpu_seconds() - cpu_start;
+  run.fingerprint = partition.sharded().fingerprint();
+  run.mail_delivered = partition.sharded().mail_delivered();
+  run.windows_run = partition.sharded().windows_run();
+  run.idle_windows_skipped = partition.sharded().idle_windows_skipped();
+  run.pair_lookahead = partition.lookahead(0, 1);
+
+  std::uint64_t transfers = 0;
+  std::uint64_t replicas = 0;
+  std::uint64_t notices = 0;
+  for (const SiteCounters& c : counters) {
+    transfers += c.transfers;
+    replicas += c.replicas;
+    notices += c.notices;
+  }
+  constexpr std::uint64_t kExpectedTransfers =
+      std::uint64_t{kSites} * kTransferWaves * kTransfersPerWave;
+  LSDF_REQUIRE(transfers == kExpectedTransfers,
+               "sharded fabric lost local transfers");
+  LSDF_REQUIRE(replicas == kExpectedTransfers / kReplicateEvery &&
+                   notices == replicas,
+               "sharded fabric lost cross-site replicas");
+  return run;
+}
+
+void report_sharded(const std::string& name, const ShardedRun& run) {
+  bench::row("%-24s %12.0f events  %8.3f s  %10.0f events/s  cpu %7.3f s",
+             name.c_str(), run.throughput.events, run.throughput.seconds,
+             run.throughput.events_per_sec(), run.cpu_seconds);
+}
+
+// Serial-vs-pooled pair; REQUIREs worker-count-invariant fingerprints and
+// event counts (the acceptance property, enforced on every bench, ctest and
+// TSan-smoke run). The CPU seconds beside each wall time show whether the
+// pooled run used more than one core.
+void run_sharded(std::uint64_t readout_events, bench::JsonReport& json) {
+  const unsigned hw = exec::ThreadPool::default_thread_count();
+  const unsigned workers = std::min<unsigned>(kSites, hw);
+  const ShardedRun serial = sharded_fabric_bench(readout_events, nullptr);
+  bench::row("%u sites x %u racks, WAN ring lookahead %.1f ms; %llu "
+             "cross-site mails, %llu windows (%llu skipped idle)",
+             kSites, kRacksPerSite, serial.pair_lookahead.seconds() * 1e3,
+             static_cast<unsigned long long>(serial.mail_delivered),
+             static_cast<unsigned long long>(serial.windows_run),
+             static_cast<unsigned long long>(serial.idle_windows_skipped));
+  report_sharded("sharded serial", serial);
+  exec::ThreadPool pool(workers);
+  const ShardedRun parallel = sharded_fabric_bench(readout_events, &pool);
+  report_sharded("sharded x" + std::to_string(workers), parallel);
   LSDF_REQUIRE(serial.fingerprint == parallel.fingerprint,
                "sharded run diverged from the single-threaded oracle");
+  LSDF_REQUIRE(serial.throughput.events == parallel.throughput.events,
+               "sharded run event counts diverged");
   const double speedup =
       parallel.throughput.seconds > 0.0
           ? serial.throughput.seconds / parallel.throughput.seconds
@@ -275,24 +413,24 @@ void run_sharded_dispatch(std::uint64_t events_per_shard,
     // loop (ShardedSimulator spawns pool_threads - 1 extra executors), so
     // ~1.0x is the *correct* number, not a regression — record it as such
     // instead of pretending a scaling measurement happened.
-    lsdf::bench::row("sharded fingerprint: %016llx (serial == x1); single "
-                     "hw thread — speedup not expected, ratio %.2fx",
-                     static_cast<unsigned long long>(serial.fingerprint),
-                     speedup);
+    bench::row("sharded fingerprint: %016llx (serial == x1); single hw "
+               "thread — speedup not expected, ratio %.2fx",
+               static_cast<unsigned long long>(serial.fingerprint), speedup);
   } else {
-    lsdf::bench::row("sharded fingerprint: %016llx (serial == x%u), "
-                     "speedup %.2fx on %u hw threads",
-                     static_cast<unsigned long long>(serial.fingerprint),
-                     workers, speedup, hw);
+    bench::row("sharded fingerprint: %016llx (serial == x%u), speedup %.2fx "
+               "on %u hw threads",
+               static_cast<unsigned long long>(serial.fingerprint), workers,
+               speedup, hw);
   }
-  json.add("perf_sharded_dispatch",
-           {{"shards", static_cast<double>(kShards)},
+  json.add("perf_sharded",
+           {{"shards", static_cast<double>(kSites)},
             {"workers", static_cast<double>(workers)},
             {"hw_threads", static_cast<double>(hw)},
             {"events", parallel.throughput.events},
             {"serial_events_per_sec", serial.throughput.events_per_sec()},
-            {"parallel_events_per_sec",
-             parallel.throughput.events_per_sec()},
+            {"parallel_events_per_sec", parallel.throughput.events_per_sec()},
+            {"serial_cpu_s", serial.cpu_seconds},
+            {"parallel_cpu_s", parallel.cpu_seconds},
             {"speedup", speedup},
             {"speedup_expected", workers > 1 ? 1.0 : 0.0}});
 }
@@ -327,14 +465,15 @@ int main(int argc, char** argv) {
   const std::string floor_path = flags.value("--floor");
 
   if (sharded_smoke) {
-    // TSan/CI mode: only the parallel kernel, small, no report file — the
-    // point is racing the window workers under the sanitizer and REQUIREing
-    // the worker-count-invariant fingerprint, not a timing.
+    // TSan/ctest mode: only the sharded kernel, small — the point is
+    // racing the window workers under the sanitizer and REQUIREing the
+    // worker-count-invariant fingerprint, not a timing.
     lsdf::bench::headline("PERF — sharded kernel smoke (determinism + races)",
                           "serial vs pooled fingerprints must match");
-    lsdf::bench::section("sharded smoke");
-    run_sharded_dispatch(200'000, json);
-    return 0;
+    lsdf::bench::section("sharded smoke: 4-site fabric");
+    run_sharded(100'000, json);
+    const bool reported = json.write();
+    return lsdf::bench::obs_dump(obs) && reported ? 0 : 1;
   }
 
   lsdf::bench::headline(
@@ -360,14 +499,15 @@ int main(int argc, char** argv) {
   report("schedule+cancel", churn);
   const Throughput mixed = mixed_facility_bench(waves, 64);
   report("mixed facility", mixed);
-  run_sharded_dispatch(quick ? 1'000'000 : 4'000'000, json);
-
   const auto heap_callbacks =
       lsdf::obs::MetricsRegistry::global().counter_value(
           "lsdf_sim_callback_heap_total");
   lsdf::bench::row("callback heap fallbacks: %lld (32-byte captures must "
                    "stay inline)",
                    static_cast<long long>(heap_callbacks));
+
+  lsdf::bench::section("sharded kernel: 4-site fabric, serial vs pool");
+  run_sharded(quick ? 500'000 : 1'500'000, json);
 
   json.add("perf_dispatch",
            {{"events", dispatch.events},
@@ -383,8 +523,8 @@ int main(int argc, char** argv) {
            {{"events", mixed.events},
             {"events_per_sec", mixed.events_per_sec()},
             {"ns_per_event", mixed.ns_per_event()}});
-  json.write();
-  lsdf::bench::obs_dump(obs);
+  const bool reported = json.write();
+  if (!lsdf::bench::obs_dump(obs) || !reported) return 1;
 
   if (!floor_path.empty()) {
     const double floor = parse_floor(floor_path);

@@ -8,6 +8,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <utility>
@@ -74,22 +75,22 @@ inline std::vector<FlagSpec> obs_flags(std::vector<FlagSpec> extra = {}) {
 class Flags {
  public:
   Flags(int argc, char** argv, std::vector<FlagSpec> known)
-      : known_(std::move(known)) {
+      : program_(argv[0]), known_(std::move(known)) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--help" || arg == "-h") usage_exit(argv[0], "", 0);
+      if (arg == "--help" || arg == "-h") usage_exit("", 0);
       const auto spec =
           std::find_if(known_.begin(), known_.end(),
                        [&arg](const FlagSpec& f) { return arg == f.name; });
       if (spec == known_.end()) {
-        usage_exit(argv[0], "unknown flag " + arg, 2);
+        reject("unknown flag " + arg);
       }
       if (!spec->takes_value) {
         values_.emplace_back(arg, "");
         continue;
       }
       if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
-        usage_exit(argv[0], arg + " needs a value", 2);
+        reject(arg + " needs a value");
       }
       values_.emplace_back(arg, argv[++i]);
     }
@@ -108,12 +109,19 @@ class Flags {
     return found;
   }
 
+  // Prints `error` and usage to stderr and exits 2: for a flag value the
+  // bench cannot use.
+  [[noreturn]] void reject(const std::string& error) const {
+    usage_exit(error, 2);
+  }
+
  private:
-  [[noreturn]] void usage_exit(const char* program, const std::string& error,
-                               int code) const {
+  [[noreturn]] void usage_exit(const std::string& error, int code) const {
     std::FILE* out = code == 0 ? stdout : stderr;
-    if (!error.empty()) std::fprintf(out, "%s: %s\n", program, error.c_str());
-    std::fprintf(out, "usage: %s", program);
+    if (!error.empty()) {
+      std::fprintf(out, "%s: %s\n", program_.c_str(), error.c_str());
+    }
+    std::fprintf(out, "usage: %s", program_.c_str());
     for (const FlagSpec& flag : known_) {
       std::fprintf(out, " [%s%s]", flag.name,
                    flag.takes_value ? " <value>" : "");
@@ -122,19 +130,21 @@ class Flags {
     std::exit(code);
   }
 
+  std::string program_;
   std::vector<FlagSpec> known_;
   std::vector<std::pair<std::string, std::string>> values_;
 };
 
 // --- Run reports (--json <path>) ---------------------------------------------
 //
-// bench_perf, E2, E11 and E12 take `--json <path>` and then write one whole
-// file for the run: a `host` object saying where the numbers were measured,
-// then the run's sections, each a flat object of numeric metrics:
+// bench_perf and E12 take `--json <path>` and then write one whole file for
+// the run: a `host` object saying where the numbers were measured, then the
+// run's sections, each a flat object of numeric metrics:
 //   { "host": { "hw_threads": 8, "compiler": "gcc 13.2.0", "ndebug": 1 },
 //     "perf_dispatch": { "events": 8000000, ... }, ... }
 // Without the flag nothing is written: a bench run leaves the checkout as
-// it found it.
+// it found it. A requested report that cannot be written makes write()
+// return false, and the bench exits non-zero.
 
 using Metrics = std::vector<std::pair<std::string, double>>;
 
@@ -146,9 +156,9 @@ class JsonReport {
     sections_.emplace_back(std::move(name), std::move(metrics));
   }
 
-  // Writes the file; a no-op without --json.
-  void write() const {
-    if (path_.empty()) return;
+  // Writes the file; a no-op without --json. False if the write failed.
+  [[nodiscard]] bool write() const {
+    if (path_.empty()) return true;
 #if defined(__clang__)
     const char* compiler = "clang " __clang_version__;
 #elif defined(__GNUC__)
@@ -186,6 +196,7 @@ class JsonReport {
       row("report: FAILED to write %s: %s", path_.c_str(),
           written.message().c_str());
     }
+    return written.is_ok();
   }
 
  private:
@@ -210,8 +221,11 @@ class JsonReport {
 //   --metrics <file>       final metrics registry, Prometheus text format
 //   --metrics-csv <file>   same, as name,labels,field,value CSV
 //   --flight <dir>         flight-recorder postmortems and final timeline
+//                          (an existing directory; otherwise usage, exit 2)
 // Call obs_init(flags) at the top of main and obs_dump(options) at the
-// bottom. The tracer stays fully disabled unless --trace is given.
+// bottom; obs_dump() returns false if a requested file could not be
+// written, and the bench then exits non-zero. The tracer stays fully
+// disabled unless --trace is given.
 
 struct ObsOptions {
   std::string trace_path;
@@ -228,6 +242,10 @@ inline ObsOptions obs_init(const Flags& flags) {
   options.metrics_path = flags.value("--metrics");
   options.metrics_csv_path = flags.value("--metrics-csv");
   options.flight_dir = flags.value("--flight");
+  if (options.flight() && !std::filesystem::is_directory(options.flight_dir)) {
+    flags.reject("--flight directory " + options.flight_dir +
+                 " does not exist");
+  }
   if (options.tracing()) obs::Tracer::global().enable(true);
   if (options.flight()) {
     // Postmortems (contract failures, injected faults) land in the given
@@ -331,7 +349,8 @@ inline void tenant_latency_table(const std::string& metric_name,
       jain, 1.0 / n);
 }
 
-inline void obs_dump(const ObsOptions& options) {
+[[nodiscard]] inline bool obs_dump(const ObsOptions& options) {
+  bool ok = true;
   if (!options.metrics_path.empty()) {
     const Status written = write_file_atomic(
         options.metrics_path, obs::MetricsRegistry::global().to_prometheus());
@@ -342,6 +361,7 @@ inline void obs_dump(const ObsOptions& options) {
     } else {
       row("metrics: FAILED to write %s: %s", options.metrics_path.c_str(),
           written.message().c_str());
+      ok = false;
     }
   }
   if (!options.metrics_csv_path.empty()) {
@@ -352,6 +372,7 @@ inline void obs_dump(const ObsOptions& options) {
     } else {
       row("metrics: FAILED to write %s: %s",
           options.metrics_csv_path.c_str(), written.message().c_str());
+      ok = false;
     }
   }
   if (options.flight()) {
@@ -364,6 +385,7 @@ inline void obs_dump(const ObsOptions& options) {
     } else {
       row("flight: FAILED to write %s: %s", path.c_str(),
           written.message().c_str());
+      ok = false;
     }
     recorder.enable(false);
   }
@@ -377,10 +399,12 @@ inline void obs_dump(const ObsOptions& options) {
     } else {
       row("trace: FAILED to write %s: %s", options.trace_path.c_str(),
           written.message().c_str());
+      ok = false;
     }
     tracer.enable(false);
     tracer.use_steady_clock();  // drop any sim-clock closure before exit
   }
+  return ok;
 }
 
 }  // namespace lsdf::bench
